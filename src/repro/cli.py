@@ -59,11 +59,7 @@ from .core import (
     TrainConfig,
 )
 from .datasets import DATASETS, load_dataset
-from .reliability import (
-    GuardedBloomFilter,
-    GuardedCardinalityEstimator,
-    GuardedSetIndex,
-)
+from .reliability import GUARD_FOR_TASK, GuardedEstimator
 from .sets import SetCollection
 
 __all__ = ["build_parser", "main"]
@@ -553,18 +549,7 @@ def _build_structure(args, collection: SetCollection):
             rng=rng,
         )
     if args.guarded:
-        if args.task == "cardinality":
-            structure = GuardedCardinalityEstimator.for_collection(
-                structure, collection
-            )
-        elif args.task == "predicate":
-            from .reliability import GuardedPredicateSuite
-
-            structure = GuardedPredicateSuite.for_collection(structure, collection)
-        elif args.task == "index":
-            structure = GuardedSetIndex(structure)
-        else:
-            structure = GuardedBloomFilter.for_collection(structure, collection)
+        structure = GUARD_FOR_TASK[args.task].for_collection(structure, collection)
     return structure
 
 
@@ -627,28 +612,27 @@ def _load_structure(path: Path):
         return pickle.load(handle)
 
 
+def _serves(structure, kind: str) -> bool:
+    """Whether ``structure`` (raw, sharded or guarded) answers task ``kind``."""
+    from .serve import detect_kind
+
+    try:
+        return detect_kind(structure) == kind
+    except TypeError:
+        return False
+
+
 def _report_health(structure) -> None:
-    """Print the guarded facade's health-report line (stderr, machine-greppable)."""
-    print(structure.health.report_line(), file=sys.stderr)
+    """Print a guarded facade's health-report line (stderr, machine-greppable)."""
+    if isinstance(structure, GuardedEstimator):
+        print(structure.health.report_line(), file=sys.stderr)
 
 
 def _cmd_estimate(args) -> int:
-    from .core import PredicateCardinalitySuite
-    from .reliability import GuardedPredicateSuite
     from .sets import as_predicate
-    from .shard import ShardedCardinalityEstimator
 
     structure = _load_structure(args.structure)
-    if not isinstance(
-        structure,
-        (
-            LearnedCardinalityEstimator,
-            GuardedCardinalityEstimator,
-            ShardedCardinalityEstimator,
-            PredicateCardinalitySuite,
-            GuardedPredicateSuite,
-        ),
-    ):
+    if not _serves(structure, "cardinality"):
         print("error: structure is not a cardinality estimator", file=sys.stderr)
         return 2
     try:
@@ -671,37 +655,28 @@ def _cmd_estimate(args) -> int:
             )
             return 2
         print(f"{value:.2f}")
-    if isinstance(structure, (GuardedCardinalityEstimator, GuardedPredicateSuite)):
-        _report_health(structure)
+    _report_health(structure)
     return 0
 
 
 def _cmd_lookup(args) -> int:
-    from .shard import ShardedSetIndex
-
     structure = _load_structure(args.structure)
-    if not isinstance(structure, (LearnedSetIndex, GuardedSetIndex, ShardedSetIndex)):
+    if not _serves(structure, "index"):
         print("error: structure is not a set index", file=sys.stderr)
         return 2
     position = structure.lookup(args.elements)
     print("not found" if position is None else str(position))
-    if isinstance(structure, GuardedSetIndex):
-        _report_health(structure)
+    _report_health(structure)
     return 0
 
 
 def _cmd_contains(args) -> int:
-    from .shard import ShardedBloomFilter
-
     structure = _load_structure(args.structure)
-    if not isinstance(
-        structure, (LearnedBloomFilter, GuardedBloomFilter, ShardedBloomFilter)
-    ):
+    if not _serves(structure, "bloom"):
         print("error: structure is not a Bloom filter", file=sys.stderr)
         return 2
     print("present" if structure.contains(args.elements) else "absent")
-    if isinstance(structure, GuardedBloomFilter):
-        _report_health(structure)
+    _report_health(structure)
     return 0
 
 

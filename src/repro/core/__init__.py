@@ -21,7 +21,6 @@ from .hybrid import (
     guided_fit,
 )
 from .index import LearnedSetIndex, LookupStats
-from .filters_ext import PartitionedLearnedBloomFilter, SandwichedLearnedBloomFilter
 from .membership import LearnedBloomFilter
 from .multi import MultiSetMembership
 from .predicate_suite import PredicateCardinalitySuite
@@ -42,8 +41,6 @@ __all__ = [
     "LearnedCardinalityEstimator",
     "LearnedSetIndex",
     "LearnedBloomFilter",
-    "SandwichedLearnedBloomFilter",
-    "PartitionedLearnedBloomFilter",
     "MultiSetMembership",
     "PredicateCardinalitySuite",
     "UpdateNotifier",

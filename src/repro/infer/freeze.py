@@ -35,6 +35,7 @@ from ..nn.layers import (
     Softplus,
     Tanh,
 )
+from ..reliability import unwrap
 from .plan import InferencePlan, PlanSet, model_signature
 from .quantize import dequantize, quantize_per_tensor
 
@@ -345,22 +346,12 @@ def _unfolded_variant(name, anatomy, common) -> InferencePlan:
 # -- structure traversal -------------------------------------------------------
 
 
-def _unwrap(structure: Any) -> Any:
-    """The raw structure behind a guarded facade (duck-typed)."""
-    if hasattr(structure, "health") and hasattr(structure, "exact"):
-        for attr in ("estimator", "index", "filter"):
-            inner = getattr(structure, attr, None)
-            if inner is not None:
-                return inner
-    return structure
-
-
 def _raw_parts(structure: Any) -> list[Any]:
     """The raw leaf structures: one for unsharded, K for a sharded router."""
-    inner = _unwrap(structure)
+    inner = unwrap(structure)
     parts = getattr(inner, "parts", None)
     if parts is not None:
-        return [_unwrap(part) for part in parts]
+        return [unwrap(part) for part in parts]
     return [inner]
 
 

@@ -29,6 +29,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Iterable
 
+from ..reliability import unwrap
+
 __all__ = [
     "StalenessPolicy",
     "StalenessState",
@@ -161,6 +163,7 @@ def aux_fraction_of(structure: Any) -> float:
       insert filters are not enumerable) — 0.0; staleness for those is
       driven by the delta count.
     """
+    structure = unwrap(structure)  # guarded facades: measure what they wrap
     parts = getattr(structure, "parts", None)
     if parts is not None:
         plan = getattr(structure, "plan", None)
@@ -169,11 +172,6 @@ def aux_fraction_of(structure: Any) -> float:
         fraction = len(router_aux) / num_sets if router_aux is not None else 0.0
         part_fractions = [aux_fraction_of(part) for part in parts]
         return max([fraction] + part_fractions)
-    # Guarded facades: measure the wrapped structure.
-    for attr in ("estimator", "index", "filter"):
-        inner = getattr(structure, attr, None)
-        if inner is not None and inner is not structure:
-            return aux_fraction_of(inner)
     probe = getattr(structure, "auxiliary_fraction", None)
     if probe is not None:
         return float(probe)

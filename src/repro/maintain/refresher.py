@@ -39,11 +39,7 @@ from ..core.config import ModelConfig
 from ..core.index import LearnedSetIndex
 from ..core.membership import LearnedBloomFilter
 from ..core.training import TrainConfig
-from ..reliability import (
-    GuardedBloomFilter,
-    GuardedCardinalityEstimator,
-    GuardedSetIndex,
-)
+from ..reliability import GuardedEstimator, unwrap
 from .delta import DeltaBuffer
 from .policy import StalenessPolicy, StalenessState, aux_fraction_of
 
@@ -64,28 +60,12 @@ class RefreshError(RuntimeError):
 
 def unwrap_structure(structure: Any) -> Any:
     """The raw (possibly sharded) structure behind a guarded facade."""
-    if isinstance(structure, GuardedCardinalityEstimator):
-        return structure.estimator
-    if isinstance(structure, GuardedSetIndex):
-        return structure.index
-    if isinstance(structure, GuardedBloomFilter):
-        return structure.filter
-    return structure
+    return unwrap(structure)
 
 
 def rewrap_like(old: Any, new_inner: Any) -> Any:
-    """Wrap ``new_inner`` the way ``old`` was wrapped (or return it raw).
-
-    The paired exact index and query-size ceiling are reused: refreshes
-    retrain the *model*, the collection underneath never changes.
-    """
-    if isinstance(old, GuardedCardinalityEstimator):
-        return GuardedCardinalityEstimator(new_inner, old.exact, old.max_query_size)
-    if isinstance(old, GuardedSetIndex):
-        return GuardedSetIndex(new_inner, old.exact, old.max_query_size)
-    if isinstance(old, GuardedBloomFilter):
-        return GuardedBloomFilter(new_inner, old.exact, old.max_query_size)
-    return new_inner
+    """Wrap ``new_inner`` the way ``old`` was wrapped (or return it raw)."""
+    return old.rewrap(new_inner) if isinstance(old, GuardedEstimator) else new_inner
 
 
 def replay_deltas(
@@ -201,13 +181,7 @@ def default_rebuilder(
                 raise RefreshError(
                     f"unknown sharded router {type(current_inner).__name__}"
                 )
-            guarded_parts = any(
-                isinstance(
-                    part,
-                    (GuardedCardinalityEstimator, GuardedSetIndex, GuardedBloomFilter),
-                )
-                for part in parts
-            )
+            guarded_parts = any(isinstance(part, GuardedEstimator) for part in parts)
             builder = ShardedBuilder(
                 current_inner.plan,
                 workers=workers,

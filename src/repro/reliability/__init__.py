@@ -13,6 +13,7 @@ them:
 
 from .faults import ALWAYS, FaultInjector, active_injector
 from .guarded import (
+    GUARD_FOR_TASK,
     GuardedBloomFilter,
     GuardedCardinalityEstimator,
     GuardedEstimator,
@@ -25,6 +26,7 @@ from .guarded import (
     REASON_OOV,
     REASON_OVERSIZED,
     REASON_WINDOW_MISS,
+    unwrap,
 )
 from .health import HealthCounters
 
@@ -38,6 +40,8 @@ __all__ = [
     "GuardedPredicateSuite",
     "GuardedSetIndex",
     "GuardedBloomFilter",
+    "GUARD_FOR_TASK",
+    "unwrap",
     "REASON_MALFORMED",
     "REASON_EMPTY",
     "REASON_OVERSIZED",

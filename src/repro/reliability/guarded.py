@@ -4,46 +4,60 @@ The paper's hybrid design (§6) pairs every learned structure with an exact
 auxiliary; this module turns that pairing into a runtime guarantee.  Each
 facade wraps one learned structure together with a paired exact structure
 (an :class:`~repro.sets.inverted.InvertedIndex` over the same collection,
-plus the Bloom filter's own backup filter) and serves queries through three
-lines of defence:
+plus the Bloom filter's own backup filter) and serves every query through
+one batched pipeline, :meth:`GuardedEstimator._answer`: **validate** every
+row (empty, oversized, out-of-vocabulary, and malformed queries get their
+kind's defined answer instead of ``KeyError``), one **forward** call on the
+wrapped structure for the rest, **accept** or reject each prediction (NaN,
+infinite, out-of-range), and answer every rejected row — or every row, if
+the model path raised — from the paired **exact** structure.  Single-query
+methods are batches of one.  Every event is recorded in per-structure
+:class:`HealthCounters` under its row's ``REASON_*`` code.
 
-1. **query validation** — empty, oversized, out-of-vocabulary, and
-   malformed queries get defined answers instead of ``KeyError`` /
-   ``IndexError``;
-2. **prediction validation** — NaN, infinite, and out-of-range model
-   outputs are rejected before they can poison an answer;
-3. **exact fallback** — any rejected prediction or exception in the model
-   path is answered by the paired exact structure.
+The policy table is the documented contract; each facade class below is
+one column (``short_circuit``: the first four rows, ``_exact``: the last).
 
-Every event is recorded in per-structure :class:`HealthCounters`.
-
-Failure semantics (the documented contract):
-
-===================  =============  ==============  ===============
-query                cardinality    index lookup    bloom contains
-===================  =============  ==============  ===============
-empty set            ``N`` (all)    ``0`` (first)   ``True``\\*
-oversized query      ``0.0``        ``None``        backup / False
-OOV element          ``0.0``        ``None``        backup / False
-malformed query      ``0.0``        ``None``        ``False``
-model failure        exact count    exact position  exact answer
-===================  =============  ==============  ===============
+===================  =============  ================  ==============  ===============
+reason               cardinality    cardinality,      index lookup    bloom contains
+                     (subset)       other predicates
+===================  =============  ================  ==============  ===============
+``empty_query``      ``N`` (all)    ``0``             ``0`` (first)   ``True``\\*
+``oversized_query``  ``0.0``        exact count†      ``None``        backup / False
+``oov_query``        ``0.0``        exact count†      ``None``        backup / False
+``malformed_query``  ``0.0``        ``0.0``           ``None``        ``False``
+model failure‡       exact count    exact count       exact position  exact answer
+===================  =============  ================  ==============  ===============
 
 \\* the empty set is a subset of every stored set (vacuous truth), so the
-answers are the mathematically exact ones for a non-empty collection.
+answers are the mathematically exact ones for a non-empty collection
+(stored sets are non-empty, hence ``0`` under superset/overlap/jaccard).
 Oversized and OOV queries cannot be subsets of any stored set, so the miss
 answers are exact too; the Bloom facade still consults its backup filter
 first because post-training inserts may lie outside the trained universe.
+
+† under superset/overlap/jaccard unknown ids do *not* force a miss and a
+huge query *helps* matching, so the row is answered by the exact index
+(empty posting lists implement exactly those semantics) and counted as a
+*fallback* under its reason rather than as a short-circuit.
+
+‡ ``model_error`` (the forward call or a row's search raised),
+``invalid_prediction`` (non-finite or out-of-range output), ``window_miss``
+(the index's bounded search found nothing).
+
+This module also owns "what is behind a guard": every facade exposes the
+wrapped structure as ``inner`` and rebuilds itself around a retrained one
+with ``rewrap(new_inner)``; :func:`unwrap` is the guard-agnostic read.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from typing import Any, Iterable, Sequence
 
 import numpy as np
 
 from ..sets.inverted import InvertedIndex
+from ..sets.predicates import SUBSET, as_predicate
 from .health import HealthCounters
 
 __all__ = [
@@ -52,6 +66,8 @@ __all__ = [
     "GuardedPredicateSuite",
     "GuardedSetIndex",
     "GuardedBloomFilter",
+    "GUARD_FOR_TASK",
+    "unwrap",
     "REASON_MALFORMED",
     "REASON_EMPTY",
     "REASON_OVERSIZED",
@@ -70,68 +86,60 @@ REASON_MODEL_ERROR = "model_error"
 REASON_INVALID_PREDICTION = "invalid_prediction"
 REASON_WINDOW_MISS = "window_miss"
 
+#: Policy cell value: the row is answered by the paired exact structure and
+#: counted as a fallback (under the row's reason), not as a short-circuit.
+EXACT = object()
 
-def _max_known_id(structure) -> int | None:
-    """Largest element id the wrapped structure can answer for.
 
-    Structures that know their universe (including the sharded routers)
-    report it through ``max_known_id()``; otherwise it is derived from the
-    underlying model's embedding range.  ``None`` disables OOV detection.
-    """
-    probe = getattr(structure, "max_known_id", None)
-    if callable(probe):
-        try:
-            ceiling = probe()
-        except Exception:
-            ceiling = None
-        if ceiling is not None:
-            return int(ceiling)
-    model = getattr(structure, "model", structure)
-    if hasattr(model, "vocab_size"):
-        return model.vocab_size - 1
-    if hasattr(model, "compressor"):
-        return model.compressor.max_value
-    return None
+def _max_stored_size(collection) -> int:
+    return max(len(stored) for stored in collection)
 
 
 class GuardedEstimator:
-    """Shared validation and health machinery for the guarded facades.
+    """The one guarded pipeline; subclasses supply a policy row.
 
-    Parameters
-    ----------
-    model:
-        The wrapped learned structure's model (used to derive the trained
-        id universe for OOV detection).
-    exact:
-        The paired exact structure — an :class:`InvertedIndex` over the
-        same collection the learned structure was built from.
-    max_query_size:
-        Queries with more elements than this cannot be subsets of any
-        stored set and short-circuit to the miss answer; ``None`` disables
-        the check.
+    A policy row is ``short_circuit`` (reason -> the defined answer, or a
+    ``cell(guard, predicate, canonical)`` computing it, or :data:`EXACT`),
+    ``forward_api`` (the batched model call on ``inner``: the raw-output
+    method first, then the direct-answer method sharded routers expose
+    instead), ``_accept`` (per-row ``(reason | None, answer)`` verdict on
+    what came back) and ``_exact`` (per-row exact answer).
+
+    ``inner`` is the wrapped learned structure (raw or a sharded router),
+    ``exact`` the :class:`InvertedIndex` over the collection it was built
+    from; queries larger than ``max_query_size`` cannot be subsets of any
+    stored set and short-circuit (``None`` disables the check).
     """
 
     structure_name = "structure"
+    short_circuit: dict = {}
+    forward_api: tuple[str, ...] = ()
 
-    def __init__(self, model, exact: InvertedIndex, max_query_size: int | None = None):
+    def __init__(self, inner, exact: InvertedIndex, max_query_size: int | None = None):
+        self.inner = inner
         self.exact = exact
         self.max_query_size = max_query_size
-        self._id_ceiling = _max_known_id(model)
+        try:  # the trained id universe; None disables OOV detection
+            self._id_ceiling = int(inner.max_known_id())
+        except Exception:
+            self._id_ceiling = None
         self.health = HealthCounters(self.structure_name)
+        # Raw estimates or direct answers: decided once, from what inner exposes.
+        self._raw = hasattr(inner, self.forward_api[0])
+
+    @classmethod
+    def for_collection(cls, inner, collection):
+        """Pair ``inner`` with an exact inverted index over ``collection``."""
+        return cls(inner, InvertedIndex(collection), _max_stored_size(collection))
+
+    def rewrap(self, new_inner):
+        """This guard around ``new_inner``, reusing the exact index and size
+        ceiling: refreshes retrain the *model*, never the collection."""
+        return type(self)(new_inner, self.exact, self.max_query_size)
 
     def max_known_id(self) -> int | None:
         """The wrapped structure's trained id universe (None if unknown)."""
         return self._id_ceiling
-
-    # -- query validation ----------------------------------------------------
-
-    @staticmethod
-    def _canonicalize(query: Iterable) -> tuple[int, ...] | None:
-        """Sorted de-duplicated id tuple, or ``None`` for malformed input."""
-        try:
-            return tuple(sorted({int(element) for element in query}))
-        except (TypeError, ValueError):
-            return None
 
     def _validate(self, canonical: tuple[int, ...] | None) -> str | None:
         """Reason a query must not reach the model, or ``None`` if it may."""
@@ -147,222 +155,159 @@ class GuardedEstimator:
             return REASON_OVERSIZED
         return None
 
+    def _forward(self, predicates: list, sets: list[tuple[int, ...]]) -> Sequence:
+        return getattr(self.inner, self.forward_api[0 if self._raw else -1])(sets)
 
-def _max_stored_size(collection) -> int:
-    return max(len(stored) for stored in collection)
+    def _answer(self, queries: Sequence[Iterable], predicates=None) -> list:
+        """Answer every query (under ``predicates[i]``, default subset) without
+        raising.  Plain Python in and out: ``*_many`` convert to an array once."""
+        health = self.health
+        if predicates is None:
+            predicates = (SUBSET,) * len(queries)
+        answers: list = [None] * len(queries)
+        slots, model_predicates, model_sets = [], [], []
+        for slot, (query, predicate) in enumerate(zip(queries, predicates)):
+            health.record_query()
+            try:
+                canonical = tuple(sorted({int(element) for element in query}))
+            except (TypeError, ValueError):
+                canonical = None
+            reason = self._validate(canonical)
+            if reason is None:
+                slots.append(slot)
+                model_predicates.append(predicate)
+                model_sets.append(canonical)
+                continue
+            answer = self.short_circuit[reason]
+            if callable(answer):
+                answer = answer(self, predicate, canonical)
+            if answer is EXACT:
+                health.record_fallback(reason)
+                answer = self._exact(predicate, canonical)
+            else:
+                health.record_short_circuit(reason)
+            answers[slot] = answer
+        if not slots:
+            return answers
+        try:
+            raws = self._forward(model_predicates, model_sets)
+            if len(raws) != len(slots):
+                raise ValueError("batched model call returned a short result")
+        except Exception:
+            raws = None  # the whole call failed: every row is a model_error
+        for row, slot in enumerate(slots):
+            reason = REASON_MODEL_ERROR
+            if raws is not None:
+                try:
+                    reason, answer = self._accept(model_sets[row], raws[row])
+                except Exception:
+                    pass  # this row's search raised: it stays a model_error
+            if reason is None:
+                health.record_model_answer()
+            else:
+                health.record_fallback(reason)
+                answer = self._exact(model_predicates[row], model_sets[row])
+            answers[slot] = answer
+        return answers
+
+
+def _subset_miss(guard, predicate, canonical):
+    """Oversized / OOV rows: an exact miss under subset, else exact count."""
+    return 0.0 if predicate.kind == "subset" else EXACT
 
 
 class GuardedCardinalityEstimator(GuardedEstimator):
-    """Reliability facade over :class:`LearnedCardinalityEstimator`."""
+    """Reliability facade over :class:`LearnedCardinalityEstimator`: the one
+    cardinality policy row, only ever asked its default (subset) predicate."""
 
     structure_name = "cardinality"
-
-    def __init__(self, estimator, exact: InvertedIndex, max_query_size: int | None = None):
-        super().__init__(estimator, exact, max_query_size)
-        self.estimator = estimator
-
-    @classmethod
-    def for_collection(cls, estimator, collection) -> "GuardedCardinalityEstimator":
-        """Pair ``estimator`` with an exact inverted index over ``collection``."""
-        return cls(
-            estimator,
-            InvertedIndex(collection),
-            max_query_size=_max_stored_size(collection),
-        )
+    short_circuit = {
+        REASON_EMPTY: lambda guard, predicate, canonical: float(
+            predicate.empty_query_count(guard.exact.num_sets)
+        ),
+        REASON_OVERSIZED: _subset_miss,
+        REASON_OOV: _subset_miss,
+        REASON_MALFORMED: 0.0,
+    }
+    forward_api = ("estimate_many",)
+    estimator = property(lambda self: self.inner, doc="The wrapped estimator.")
 
     def estimate(self, query: Iterable[int]) -> float:
         """Cardinality estimate that never raises on any query."""
-        self.health.record_query()
-        canonical = self._canonicalize(query)
-        reason = self._validate(canonical)
-        if reason == REASON_EMPTY:
-            # The empty set is contained in every stored set.
-            self.health.record_short_circuit(reason)
-            return float(self.exact.num_sets)
-        if reason is not None:
-            self.health.record_short_circuit(reason)
-            return 0.0
-        try:
-            value = self.estimator.estimate(canonical)
-        except Exception:
-            return self._exact(canonical, REASON_MODEL_ERROR)
-        if not math.isfinite(value) or value < 0.0 or value > self.exact.num_sets:
-            return self._exact(canonical, REASON_INVALID_PREDICTION)
-        self.health.record_model_answer()
-        return float(value)
+        return self._answer((query,))[0]
 
     def estimate_many(self, queries: Sequence[Iterable[int]]) -> np.ndarray:
-        """Vectorized :meth:`estimate`: one model call, per-query fallback.
+        """Vectorized :meth:`estimate`: one model call, per-query fallback."""
+        return np.array(self._answer(queries), dtype=np.float64)
 
-        Valid queries share a single :meth:`estimate_many` forward pass on
-        the wrapped estimator; each returned prediction is then validated
-        individually, so one NaN row falls back to the exact structure
-        without dragging its batchmates with it.  If the batched model call
-        itself raises, every query in the batch is answered exactly (and
-        each is counted as a ``model_error`` fallback).
-        """
-        out = np.empty(len(queries), dtype=np.float64)
-        model_rows: list[int] = []
-        model_sets: list[tuple[int, ...]] = []
-        for row, query in enumerate(queries):
-            self.health.record_query()
-            canonical = self._canonicalize(query)
-            reason = self._validate(canonical)
-            if reason == REASON_EMPTY:
-                self.health.record_short_circuit(reason)
-                out[row] = float(self.exact.num_sets)
-            elif reason is not None:
-                self.health.record_short_circuit(reason)
-                out[row] = 0.0
-            else:
-                model_rows.append(row)
-                model_sets.append(canonical)
-        if not model_rows:
-            return out
-        try:
-            values = np.asarray(
-                self.estimator.estimate_many(model_sets), dtype=np.float64
-            )
-            if len(values) != len(model_sets):
-                raise ValueError("batched estimate returned a short result")
-        except Exception:
-            for row, canonical in zip(model_rows, model_sets):
-                out[row] = self._exact(canonical, REASON_MODEL_ERROR)
-            return out
-        for row, canonical, value in zip(model_rows, model_sets, values):
-            if not math.isfinite(value) or value < 0.0 or value > self.exact.num_sets:
-                out[row] = self._exact(canonical, REASON_INVALID_PREDICTION)
-            else:
-                self.health.record_model_answer()
-                out[row] = float(value)
-        return out
+    def _accept(self, canonical, raw):
+        value = float(raw)
+        if not math.isfinite(value) or value < 0.0 or value > self.exact.num_sets:
+            return REASON_INVALID_PREDICTION, None
+        return None, value
 
-    def _exact(self, canonical: tuple[int, ...], reason: str) -> float:
-        self.health.record_fallback(reason)
-        return float(self.exact.cardinality(canonical))
+    def _exact(self, predicate, canonical: tuple[int, ...]) -> float:
+        return float(self.exact.count_predicate(predicate, canonical))
 
 
-class GuardedPredicateSuite(GuardedEstimator):
-    """Reliability facade over :class:`PredicateCardinalitySuite`.
-
-    Per-predicate failure semantics (``subset`` keeps the contract of
-    :class:`GuardedCardinalityEstimator`; the other kinds differ where
-    the mathematics differ):
-
-    * **empty query** — ``N`` under subset (vacuous truth), ``0`` under
-      superset/overlap/jaccard (stored sets are non-empty); both are the
-      exact defined answers, served as short-circuits.
-    * **OOV elements** — an exact subset miss (``0.0``); under the other
-      kinds unknown ids do *not* force a miss (they never block superset
-      containment and merely enlarge the Jaccard union), so the query is
-      answered by the exact index, which implements precisely those
-      semantics via empty posting lists.
-    * **oversized query** — an exact subset miss; under the other kinds a
-      huge query *helps* matching, so it is answered exactly rather than
-      shown to a model that never trained on that size.
-    * **model failure / invalid prediction** — exact predicate count.
-    """
+class GuardedPredicateSuite(GuardedCardinalityEstimator):
+    """Reliability facade over :class:`PredicateCardinalitySuite`: the
+    cardinality row with the predicate supplied per row."""
 
     structure_name = "predicate_cardinality"
     supports_predicates = True
-
-    def __init__(self, suite, exact: InvertedIndex, max_query_size: int | None = None):
-        super().__init__(suite, exact, max_query_size)
-        self.suite = suite
-
-    @classmethod
-    def for_collection(cls, suite, collection) -> "GuardedPredicateSuite":
-        return cls(
-            suite,
-            InvertedIndex(collection),
-            max_query_size=_max_stored_size(collection),
-        )
+    suite = property(lambda self: self.inner, doc="The wrapped suite.")
 
     def estimate(self, query: Iterable[int], predicate=None) -> float:
         """Predicate-conditioned estimate that never raises on any query."""
-        return float(self.estimate_many([query], predicate=predicate)[0])
+        return self._answer((query,), (as_predicate(predicate),))[0]
 
     def estimate_many(
         self, queries: Sequence[Iterable[int]], predicate=None
     ) -> np.ndarray:
-        from ..sets.predicates import as_predicate
-
-        predicate = as_predicate(predicate)
-        spec = predicate.spec
-        return self.estimate_many_keyed([(spec, query) for query in queries])
+        predicates = (as_predicate(predicate),) * len(queries)
+        return np.array(self._answer(queries, predicates), dtype=np.float64)
 
     def estimate_many_keyed(
         self, items: Sequence[tuple[str, Iterable[int]]]
     ) -> np.ndarray:
-        """Mixed ``(predicate_spec, query)`` batch with per-row fallback.
-
-        Valid rows share one :meth:`estimate_many_keyed` pass on the
-        wrapped suite; every prediction is then validated individually,
-        so a NaN row falls back to the exact predicate count without
-        dragging its batchmates with it.
-        """
-        from ..sets.predicates import as_predicate
-
-        out = np.empty(len(items), dtype=np.float64)
-        model_rows: list[int] = []
-        model_items: list[tuple] = []
-        for row, (spec, query) in enumerate(items):
-            self.health.record_query()
+        """Mixed ``(predicate_spec, query)`` batch.  A malformed wire spec is
+        per-row data, not a programming error: its row is a
+        ``malformed_query`` instead of an exception for the whole batch."""
+        queries, predicates = [], []
+        for spec, query in items:
             try:
-                predicate = as_predicate(spec)
+                predicates.append(as_predicate(spec))
             except (TypeError, ValueError):
-                self.health.record_short_circuit(REASON_MALFORMED)
-                out[row] = 0.0
-                continue
-            canonical = self._canonicalize(query)
-            reason = self._validate(canonical)
-            if reason == REASON_MALFORMED:
-                self.health.record_short_circuit(reason)
-                out[row] = 0.0
-            elif reason == REASON_EMPTY:
-                self.health.record_short_circuit(reason)
-                out[row] = float(predicate.empty_query_count(self.exact.num_sets))
-            elif reason is not None and predicate.kind == "subset":
-                # OOV / oversized queries are exact subset misses.
-                self.health.record_short_circuit(reason)
-                out[row] = 0.0
-            elif reason is not None:
-                # Under the other predicates neither condition is a miss;
-                # the exact index implements the defined OOV semantics.
-                out[row] = self._exact(predicate, canonical, reason)
-            else:
-                model_rows.append(row)
-                model_items.append((predicate, canonical))
-        if not model_rows:
-            return out
-        keyed = [(predicate.spec, canonical) for predicate, canonical in model_items]
-        try:
-            values = np.asarray(
-                self.suite.estimate_many_keyed(keyed), dtype=np.float64
-            )
-            if len(values) != len(keyed):
-                raise ValueError("batched estimate returned a short result")
-        except Exception:
-            for row, (predicate, canonical) in zip(model_rows, model_items):
-                out[row] = self._exact(predicate, canonical, REASON_MODEL_ERROR)
-            return out
-        for row, (predicate, canonical), value in zip(model_rows, model_items, values):
-            if not math.isfinite(value) or value < 0.0 or value > self.exact.num_sets:
-                out[row] = self._exact(predicate, canonical, REASON_INVALID_PREDICTION)
-            else:
-                self.health.record_model_answer()
-                out[row] = float(value)
-        return out
+                predicates.append(SUBSET)
+                query = None
+            queries.append(query)
+        return np.array(self._answer(queries, predicates), dtype=np.float64)
 
-    def _exact(self, predicate, canonical: tuple[int, ...], reason: str) -> float:
-        self.health.record_fallback(reason)
-        return float(self.exact.count_predicate(predicate, canonical))
+    def _forward(self, predicates, sets):
+        keyed = [(predicate.spec, query) for predicate, query in zip(predicates, sets)]
+        return self.inner.estimate_many_keyed(keyed)
 
 
 class GuardedSetIndex(GuardedEstimator):
-    """Reliability facade over :class:`LearnedSetIndex`."""
+    """Reliability facade over :class:`LearnedSetIndex`; always exact.
+
+    A window miss, a non-finite prediction, or any exception falls back to
+    the exact inverted index instead of the unguarded full-collection
+    rescan.  Sharded routers resolve positions internally and expose no
+    raw estimate, so for them the forward call is the lookup itself.
+    """
 
     structure_name = "index"
+    short_circuit = {
+        # Empty query: contained in every set, so the first position.
+        REASON_EMPTY: lambda guard, *_: 0 if guard.exact.num_sets else None,
+        REASON_OVERSIZED: None,
+        REASON_OOV: None,
+        REASON_MALFORMED: None,
+    }
+    forward_api = ("predict_positions", "lookup_many")
+    index = property(lambda self: self.inner, doc="The wrapped index.")
 
     def __init__(self, index, exact: InvertedIndex | None = None,
                  max_query_size: int | None = None):
@@ -371,263 +316,84 @@ class GuardedSetIndex(GuardedEstimator):
         if max_query_size is None:
             max_query_size = _max_stored_size(index.collection)
         super().__init__(index, exact, max_query_size)
-        self.index = index
 
     def lookup(self, query: Iterable[int]) -> int | None:
-        """First position containing ``query``; never raises, always exact.
-
-        The learned index answers within its error window; a window miss,
-        a non-finite prediction, or any exception falls back to the exact
-        inverted index instead of the unguarded full-collection rescan.
-        """
-        self.health.record_query()
-        canonical = self._canonicalize(query)
-        reason = self._validate(canonical)
-        if reason == REASON_EMPTY:
-            # Empty query: contained in every set, so the first position.
-            self.health.record_short_circuit(reason)
-            return 0 if self.exact.num_sets else None
-        if reason is not None:
-            self.health.record_short_circuit(reason)
-            return None
-        if not hasattr(self.index, "predict_position"):
-            # Sharded routers resolve positions internally (per-shard error
-            # bounds + exhaustive shard scans) and expose no raw estimate.
-            return self._direct_lookup(canonical)
-        try:
-            estimate = self.index.predict_position(canonical)
-        except Exception:
-            return self._exact(canonical, REASON_MODEL_ERROR)
-        if not math.isfinite(estimate):
-            return self._exact(canonical, REASON_INVALID_PREDICTION)
-        try:
-            found = self.index.lookup_with_estimate(
-                canonical, estimate, fallback_scan=False
-            )
-        except Exception:
-            return self._exact(canonical, REASON_MODEL_ERROR)
-        if found is None:
-            return self._exact(canonical, REASON_WINDOW_MISS)
-        self.health.record_model_answer()
-        return found
+        """First position containing ``query``; never raises, always exact."""
+        return self._answer((query,))[0]
 
     def lookup_many(self, queries: Sequence[Iterable[int]]) -> list[int | None]:
-        """Vectorized :meth:`lookup`: one prediction pass, per-query search.
+        """Vectorized :meth:`lookup`: one prediction pass, per-query search."""
+        return self._answer(queries)
 
-        Position estimates for all valid queries come from one
-        :meth:`predict_positions` call; each query is then resolved through
-        the index's bounded search individually, preserving the single-query
-        fallback reasons (non-finite prediction, window miss, model error).
-        """
-        results: list[int | None] = [None] * len(queries)
-        model_rows: list[int] = []
-        model_sets: list[tuple[int, ...]] = []
-        for row, query in enumerate(queries):
-            self.health.record_query()
-            canonical = self._canonicalize(query)
-            reason = self._validate(canonical)
-            if reason == REASON_EMPTY:
-                self.health.record_short_circuit(reason)
-                results[row] = 0 if self.exact.num_sets else None
-            elif reason is not None:
-                self.health.record_short_circuit(reason)
-                results[row] = None
-            else:
-                model_rows.append(row)
-                model_sets.append(canonical)
-        if not model_rows:
-            return results
-        if not hasattr(self.index, "predict_positions"):
-            try:
-                found_list = self.index.lookup_many(model_sets)
-                if len(found_list) != len(model_sets):
-                    raise ValueError("batched lookup returned a short result")
-            except Exception:
-                for row, canonical in zip(model_rows, model_sets):
-                    results[row] = self._exact(canonical, REASON_MODEL_ERROR)
-                return results
-            for row, canonical, found in zip(model_rows, model_sets, found_list):
-                if found is None:
-                    results[row] = self._exact(canonical, REASON_WINDOW_MISS)
-                else:
-                    self.health.record_model_answer()
-                    results[row] = found
-            return results
-        try:
-            estimates = self.index.predict_positions(model_sets)
-            if len(estimates) != len(model_sets):
-                raise ValueError("batched prediction returned a short result")
-        except Exception:
-            for row, canonical in zip(model_rows, model_sets):
-                results[row] = self._exact(canonical, REASON_MODEL_ERROR)
-            return results
-        for row, canonical, estimate in zip(model_rows, model_sets, estimates):
-            if not math.isfinite(estimate):
-                results[row] = self._exact(canonical, REASON_INVALID_PREDICTION)
-                continue
-            try:
-                found = self.index.lookup_with_estimate(
-                    canonical, float(estimate), fallback_scan=False
-                )
-            except Exception:
-                results[row] = self._exact(canonical, REASON_MODEL_ERROR)
-                continue
-            if found is None:
-                results[row] = self._exact(canonical, REASON_WINDOW_MISS)
-            else:
-                self.health.record_model_answer()
-                results[row] = found
-        return results
+    def _accept(self, canonical, raw):
+        if self._raw:
+            if not math.isfinite(raw):
+                return REASON_INVALID_PREDICTION, None
+            raw = self.inner.lookup_with_estimate(
+                canonical, float(raw), fallback_scan=False
+            )
+        return (REASON_WINDOW_MISS, None) if raw is None else (None, raw)
 
-    def _direct_lookup(self, canonical: tuple[int, ...]) -> int | None:
-        """Model path for indexes without a raw-estimate API (sharded)."""
-        try:
-            found = self.index.lookup(canonical)
-        except Exception:
-            return self._exact(canonical, REASON_MODEL_ERROR)
-        if found is None:
-            return self._exact(canonical, REASON_WINDOW_MISS)
-        self.health.record_model_answer()
-        return found
-
-    def _exact(self, canonical: tuple[int, ...], reason: str) -> int | None:
-        self.health.record_fallback(reason)
+    def _exact(self, predicate, canonical: tuple[int, ...]) -> int | None:
         return self.exact.first_position(canonical)
+
+
+def _backup(guard, predicate, canonical) -> bool:
+    """Post-training inserts live in the backup filter."""
+    backup = guard.inner.backup
+    return bool(backup.contains_set(set(canonical))) if backup is not None else False
 
 
 class GuardedBloomFilter(GuardedEstimator):
     """Reliability facade over :class:`LearnedBloomFilter`.
 
-    Preserves the no-false-negative guarantee even when the classifier
-    produces NaN scores: a non-finite score is answered by the exact
-    inverted index (with the backup filter consulted for post-training
-    inserts), so an indexed subset can never be reported absent.
+    Keeps the no-false-negative guarantee under NaN scores: a non-finite
+    score is answered by the exact inverted index (plus the backup filter
+    for post-training inserts), so an indexed subset is never reported
+    absent.  Sharded routers answer membership directly (no raw score).
     """
 
     structure_name = "bloom"
-
-    def __init__(self, filter_, exact: InvertedIndex,
-                 max_query_size: int | None = None):
-        super().__init__(filter_, exact, max_query_size)
-        self.filter = filter_
-
-    @classmethod
-    def for_collection(cls, filter_, collection) -> "GuardedBloomFilter":
-        return cls(
-            filter_,
-            InvertedIndex(collection),
-            max_query_size=_max_stored_size(collection),
-        )
+    short_circuit = {
+        REASON_EMPTY: lambda guard, *_: guard.exact.num_sets > 0,
+        # OOV / oversized subsets cannot be members of the trained universe.
+        REASON_OVERSIZED: _backup,
+        REASON_OOV: _backup,
+        REASON_MALFORMED: False,
+    }
+    forward_api = ("score_many", "contains_many")
+    filter = property(lambda self: self.inner, doc="The wrapped filter.")
 
     def contains(self, query: Iterable[int]) -> bool:
-        self.health.record_query()
-        canonical = self._canonicalize(query)
-        reason = self._validate(canonical)
-        if reason == REASON_MALFORMED:
-            self.health.record_short_circuit(reason)
-            return False
-        if reason == REASON_EMPTY:
-            self.health.record_short_circuit(reason)
-            return self.exact.num_sets > 0
-        if reason is not None:
-            # OOV / oversized subsets cannot be members of the trained
-            # universe, but post-training inserts live in the backup filter.
-            self.health.record_short_circuit(reason)
-            return self._backup_contains(canonical)
-        if not hasattr(self.filter, "score"):
-            # Sharded routers answer membership directly (their parts and
-            # backup filters are consulted internally).
-            return self._direct_contains(canonical)
-        try:
-            score = self.filter.score(canonical)
-        except Exception:
-            return self._exact(canonical, REASON_MODEL_ERROR)
-        if not math.isfinite(score):
-            return self._exact(canonical, REASON_INVALID_PREDICTION)
-        self.health.record_model_answer()
-        if score >= self.filter.threshold:
-            return True
-        return self._backup_contains(canonical)
+        return self._answer((query,))[0]
 
-    def __contains__(self, query: Iterable[int]) -> bool:
-        return self.contains(query)
+    __contains__ = contains
 
     def contains_many(self, queries: Sequence[Iterable[int]]) -> np.ndarray:
-        """Vectorized :meth:`contains`: one scoring pass, per-query fallback.
+        """Vectorized :meth:`contains`: one scoring pass, per-query fallback."""
+        return np.array(self._answer(queries), dtype=bool)
 
-        Valid queries share one :meth:`score_many` forward pass; each score
-        is validated individually (a NaN row falls back to the exact index
-        alone) and sub-threshold rows consult the backup filter, exactly as
-        the single-query path does.
-        """
-        answers = np.zeros(len(queries), dtype=bool)
-        model_rows: list[int] = []
-        model_sets: list[tuple[int, ...]] = []
-        for row, query in enumerate(queries):
-            self.health.record_query()
-            canonical = self._canonicalize(query)
-            reason = self._validate(canonical)
-            if reason == REASON_MALFORMED:
-                self.health.record_short_circuit(reason)
-                answers[row] = False
-            elif reason == REASON_EMPTY:
-                self.health.record_short_circuit(reason)
-                answers[row] = self.exact.num_sets > 0
-            elif reason is not None:
-                self.health.record_short_circuit(reason)
-                answers[row] = self._backup_contains(canonical)
-            else:
-                model_rows.append(row)
-                model_sets.append(canonical)
-        if not model_rows:
-            return answers
-        if not hasattr(self.filter, "score_many"):
-            try:
-                found = self.filter.contains_many(model_sets)
-                if len(found) != len(model_sets):
-                    raise ValueError("batched membership returned a short result")
-            except Exception:
-                for row, canonical in zip(model_rows, model_sets):
-                    answers[row] = self._exact(canonical, REASON_MODEL_ERROR)
-                return answers
-            for row, hit in zip(model_rows, found):
-                self.health.record_model_answer()
-                answers[row] = bool(hit)
-            return answers
-        try:
-            scores = np.asarray(self.filter.score_many(model_sets), dtype=np.float64)
-            if len(scores) != len(model_sets):
-                raise ValueError("batched scoring returned a short result")
-        except Exception:
-            for row, canonical in zip(model_rows, model_sets):
-                answers[row] = self._exact(canonical, REASON_MODEL_ERROR)
-            return answers
-        for row, canonical, score in zip(model_rows, model_sets, scores):
-            if not math.isfinite(score):
-                answers[row] = self._exact(canonical, REASON_INVALID_PREDICTION)
-                continue
-            self.health.record_model_answer()
-            if score >= self.filter.threshold:
-                answers[row] = True
-            else:
-                answers[row] = self._backup_contains(canonical)
-        return answers
+    def _accept(self, canonical, raw):
+        if not self._raw:
+            return None, bool(raw)
+        if not math.isfinite(raw):
+            return REASON_INVALID_PREDICTION, None
+        hit = bool(raw >= self.inner.threshold)
+        return None, hit or _backup(self, SUBSET, canonical)
 
-    def _direct_contains(self, canonical: tuple[int, ...]) -> bool:
-        """Model path for filters without a raw-score API (sharded)."""
-        try:
-            answer = bool(self.filter.contains(canonical))
-        except Exception:
-            return self._exact(canonical, REASON_MODEL_ERROR)
-        self.health.record_model_answer()
-        return answer
+    def _exact(self, predicate, canonical: tuple[int, ...]) -> bool:
+        return self.exact.contains(canonical) or _backup(self, predicate, canonical)
 
-    def _backup_contains(self, canonical: tuple[int, ...]) -> bool:
-        backup = self.filter.backup
-        return backup.contains_set(set(canonical)) if backup is not None else False
 
-    def _exact(self, canonical: tuple[int, ...], reason: str) -> bool:
-        self.health.record_fallback(reason)
-        if self.exact.contains(canonical):
-            return True
-        return self._backup_contains(canonical)
+#: Builder / CLI task name -> the facade that guards that task's structure.
+GUARD_FOR_TASK = {
+    "cardinality": GuardedCardinalityEstimator,
+    "predicate": GuardedPredicateSuite,
+    "index": GuardedSetIndex,
+    "bloom": GuardedBloomFilter,
+}
+
+
+def unwrap(structure: Any) -> Any:
+    """The structure behind a guard, or ``structure`` itself if unguarded."""
+    return structure.inner if isinstance(structure, GuardedEstimator) else structure

@@ -1,8 +1,7 @@
 """Asyncio line-protocol frontend (the pool's replacement for thread-per-connection TCP).
 
-Speaks exactly the protocol of :mod:`repro.serve.net` — same verbs
-(``STATS`` / ``METRICS`` / ``TRACE`` / ``REFRESH`` / ``STALENESS`` /
-``QUIT``), same
+Speaks exactly the protocol of :mod:`repro.serve.net` — the same verb
+table (:func:`~repro.serve.net.control_reply`), same
 answer formatting, same hardening (idle timeout, bounded line length,
 per-request deadline) — but multiplexes every connection onto one event
 loop instead of one thread each, so ten thousand mostly-idle connections
@@ -10,7 +9,7 @@ cost file descriptors rather than stacks.  The backend is duck-typed: a
 threaded :class:`~repro.serve.server.SetServer` or a
 :class:`~repro.serve.pool.WorkerPool` (anything with ``submit`` /
 ``kind`` / ``stats_dict`` / ``metrics_text`` / ``trace_spans``).  When
-the backend is a pool, the extra ``WORKERS`` verb reports the per-worker
+the backend is a pool, the ``WORKERS`` verb reports the per-worker
 liveness/generation table as JSON.
 
 The event loop never blocks on an answer: ``submit`` returns a
@@ -22,11 +21,10 @@ The event loop never blocks on an answer: ``submit`` returns a
 from __future__ import annotations
 
 import asyncio
-import json
 import threading
 from typing import Any
 
-from .net import _format_answer, parse_query_line
+from .net import _format_answer, check_limits, control_reply, parse_query_line
 
 __all__ = ["AsyncTcpFrontend"]
 
@@ -47,12 +45,7 @@ class AsyncTcpFrontend:
         max_line_bytes: int = 65536,
         request_deadline_s: float | None = 30.0,
     ):
-        if idle_timeout_s is not None and idle_timeout_s <= 0:
-            raise ValueError("idle_timeout_s must be positive or None")
-        if max_line_bytes < 16:
-            raise ValueError("max_line_bytes must be >= 16")
-        if request_deadline_s is not None and request_deadline_s <= 0:
-            raise ValueError("request_deadline_s must be positive or None")
+        check_limits(idle_timeout_s, max_line_bytes, request_deadline_s)
         self.backend = backend
         self.host = host
         self.port = int(port)
@@ -170,63 +163,11 @@ class AsyncTcpFrontend:
             if not line:
                 continue
             tokens = line.split()
-            command = tokens[0].upper()
-            if command == "QUIT":
+            if tokens[0].upper() == "QUIT":
                 return
-            if command == "STATS":
-                await self._reply(
-                    writer, json.dumps(backend.stats_dict(), sort_keys=True)
-                )
-                continue
-            if command == "METRICS":
-                body = backend.metrics_text()
-                lines = body.splitlines() + ["# EOF"]
-                await self._reply(writer, "\n".join(lines))
-                continue
-            if command == "TRACE":
-                limit = 200
-                if len(tokens) > 1:
-                    try:
-                        limit = max(0, int(tokens[1]))
-                    except ValueError:
-                        await self._reply(writer, "error malformed trace limit")
-                        continue
-                await self._reply(writer, json.dumps(backend.trace_spans(limit)))
-                continue
-            if command == "WORKERS":
-                info = getattr(backend, "workers_info", None)
-                if info is None:
-                    await self._reply(writer, "error not a worker pool")
-                else:
-                    await self._reply(writer, json.dumps(info()))
-                continue
-            if command == "REFRESH":
-                maintainer = getattr(backend, "maintainer", None)
-                if maintainer is None:
-                    await self._reply(writer, json.dumps({"auto_refresh": False}))
-                    continue
-                if len(tokens) > 1 and tokens[1].upper() == "NOW":
-                    try:
-                        maintainer.refresh_now(("manual",))
-                    except Exception as exc:
-                        await self._reply(writer, f"error {type(exc).__name__}")
-                        continue
-                await self._reply(
-                    writer, json.dumps(maintainer.status(), sort_keys=True)
-                )
-                continue
-            if command == "STALENESS":
-                maintainer = getattr(backend, "maintainer", None)
-                status = getattr(maintainer, "staleness_status", None)
-                if status is None:
-                    await self._reply(writer, json.dumps({"adaptive": False}))
-                    continue
-                try:
-                    await self._reply(
-                        writer, json.dumps(status(), sort_keys=True)
-                    )
-                except Exception as exc:
-                    await self._reply(writer, f"error {type(exc).__name__}")
+            control = control_reply(backend, tokens)
+            if control is not None:
+                await self._reply(writer, control)
                 continue
             try:
                 spec, query = parse_query_line(tokens)

@@ -23,6 +23,8 @@ protocol deliberately simple enough for ``nc``:
 * ``STALENESS`` returns the adaptive-refresh status JSON (workload-log
   summary, per-shard observed q-error, tripped policy reasons) when the
   server runs an adaptive maintainer, else ``{"adaptive": false}``;
+* ``WORKERS`` returns the per-worker liveness/generation table as JSON
+  when the backend is a worker pool, else ``error not a worker pool``;
 * ``QUIT`` ends the connection (as does EOF);
 * a line that does not parse as integers is answered with
   ``error malformed query`` — the connection stays up.
@@ -55,7 +57,7 @@ from typing import Any
 from ..sets.predicates import Predicate
 from .server import SetServer
 
-__all__ = ["TcpServeFrontend", "parse_query_line"]
+__all__ = ["TcpServeFrontend", "control_reply", "parse_query_line"]
 
 
 def parse_query_line(tokens: list[str]) -> tuple[str, tuple[int, ...]]:
@@ -74,6 +76,64 @@ def parse_query_line(tokens: list[str]) -> tuple[str, tuple[int, ...]]:
             spec = Predicate.parse(head).spec
             tokens = tokens[1:]
     return spec, tuple(int(token) for token in tokens)
+
+
+def control_reply(backend: Any, tokens: list[str]) -> str | None:
+    """Full reply text of a control verb; ``None`` when the line is not one.
+
+    The one verb table both transports share.  ``backend`` is duck-typed:
+    a :class:`SetServer` or a :class:`~repro.serve.pool.WorkerPool`.
+    """
+    command = tokens[0].upper()
+    if command == "STATS":
+        return json.dumps(backend.stats_dict(), sort_keys=True)
+    if command == "METRICS":
+        return "\n".join(backend.metrics_text().splitlines() + ["# EOF"])
+    if command == "TRACE":
+        limit = 200
+        if len(tokens) > 1:
+            try:
+                limit = max(0, int(tokens[1]))
+            except ValueError:
+                return "error malformed trace limit"
+        return json.dumps(backend.trace_spans(limit))
+    if command == "WORKERS":
+        info = getattr(backend, "workers_info", None)
+        return "error not a worker pool" if info is None else json.dumps(info())
+    if command == "REFRESH":
+        maintainer = getattr(backend, "maintainer", None)
+        if maintainer is None:
+            return json.dumps({"auto_refresh": False})
+        if len(tokens) > 1 and tokens[1].upper() == "NOW":
+            try:
+                maintainer.refresh_now(("manual",))
+            except Exception as exc:
+                return f"error {type(exc).__name__}"
+        return json.dumps(maintainer.status(), sort_keys=True)
+    if command == "STALENESS":
+        maintainer = getattr(backend, "maintainer", None)
+        status = getattr(maintainer, "staleness_status", None)
+        if status is None:
+            return json.dumps({"adaptive": False})
+        try:
+            return json.dumps(status(), sort_keys=True)
+        except Exception as exc:
+            return f"error {type(exc).__name__}"
+    return None
+
+
+def check_limits(
+    idle_timeout_s: float | None,
+    max_line_bytes: int,
+    request_deadline_s: float | None,
+) -> None:
+    """Validate a frontend's hardening limits (shared by both transports)."""
+    if idle_timeout_s is not None and idle_timeout_s <= 0:
+        raise ValueError("idle_timeout_s must be positive or None")
+    if max_line_bytes < 16:
+        raise ValueError("max_line_bytes must be >= 16")
+    if request_deadline_s is not None and request_deadline_s <= 0:
+        raise ValueError("request_deadline_s must be positive or None")
 
 
 class _Handler(socketserver.StreamRequestHandler):
@@ -108,51 +168,11 @@ class _Handler(socketserver.StreamRequestHandler):
             if not line:
                 continue
             tokens = line.split()
-            command = tokens[0].upper()
-            if command == "QUIT":
+            if tokens[0].upper() == "QUIT":
                 return
-            if command == "STATS":
-                self._reply(json.dumps(server.stats_dict(), sort_keys=True))
-                continue
-            if command == "METRICS":
-                exposition = server.metrics_text()
-                for metric_line in exposition.splitlines():
-                    self._reply(metric_line)
-                self._reply("# EOF")
-                continue
-            if command == "TRACE":
-                limit = 200
-                if len(tokens) > 1:
-                    try:
-                        limit = max(0, int(tokens[1]))
-                    except ValueError:
-                        self._reply("error malformed trace limit")
-                        continue
-                self._reply(json.dumps(server.trace_spans(limit)))
-                continue
-            if command == "REFRESH":
-                maintainer = getattr(server, "maintainer", None)
-                if maintainer is None:
-                    self._reply(json.dumps({"auto_refresh": False}))
-                    continue
-                if len(tokens) > 1 and tokens[1].upper() == "NOW":
-                    try:
-                        maintainer.refresh_now(("manual",))
-                    except Exception as exc:
-                        self._reply(f"error {type(exc).__name__}")
-                        continue
-                self._reply(json.dumps(maintainer.status(), sort_keys=True))
-                continue
-            if command == "STALENESS":
-                maintainer = getattr(server, "maintainer", None)
-                status = getattr(maintainer, "staleness_status", None)
-                if status is None:
-                    self._reply(json.dumps({"adaptive": False}))
-                    continue
-                try:
-                    self._reply(json.dumps(status(), sort_keys=True))
-                except Exception as exc:
-                    self._reply(f"error {type(exc).__name__}")
+            control = control_reply(server, tokens)
+            if control is not None:
+                self._reply(control)
                 continue
             try:
                 spec, query = parse_query_line(tokens)
@@ -210,12 +230,7 @@ class TcpServeFrontend:
         max_line_bytes: int = 65536,
         request_deadline_s: float | None = 30.0,
     ):
-        if idle_timeout_s is not None and idle_timeout_s <= 0:
-            raise ValueError("idle_timeout_s must be positive or None")
-        if max_line_bytes < 16:
-            raise ValueError("max_line_bytes must be >= 16")
-        if request_deadline_s is not None and request_deadline_s <= 0:
-            raise ValueError("request_deadline_s must be positive or None")
+        check_limits(idle_timeout_s, max_line_bytes, request_deadline_s)
         self._tcp = _TcpServer((host, port), _Handler)
         self._tcp.set_server = set_server  # type: ignore[attr-defined]
         self._tcp.idle_timeout_s = idle_timeout_s  # type: ignore[attr-defined]

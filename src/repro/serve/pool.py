@@ -53,7 +53,6 @@ from concurrent.futures import Future
 from hashlib import blake2b
 from typing import Any, Iterable, Sequence
 
-from ..core.qerror import q_error
 from ..infer.freeze import _raw_parts
 from ..infer.shm import attach_plan
 from ..obs.metrics import MetricsRegistry, merge_expositions
@@ -62,7 +61,14 @@ from ..sets.inverted import InvertedIndex
 from ..sets.predicates import as_predicate
 from .batcher import BatchPolicy
 from .registry import PlanRegistry
-from .server import SetServer, canonical_query, detect_kind, exact_answer
+from .server import (
+    SetServer,
+    canonical_query,
+    detect_kind,
+    exact_answer,
+    observe_answer,
+    supports_predicates,
+)
 from .snapshot import Snapshot, SnapshotHolder
 
 __all__ = ["PoolError", "WorkerPool"]
@@ -547,12 +553,7 @@ class WorkerPool:
 
     def supports_predicates(self) -> bool:
         """Whether the replicated structure routes the non-subset predicates."""
-        if self.kind != "cardinality":
-            return False
-        flag = getattr(self.structure, "supports_predicates", None)
-        if flag is not None:
-            return bool(flag)
-        return hasattr(self.structure, "estimate_many_keyed")
+        return supports_predicates(self.kind, self.structure)
 
     def submit(self, query: Iterable[int], predicate=None) -> Future:
         """Admit one query; returns a future resolving to its answer."""
@@ -635,35 +636,14 @@ class WorkerPool:
     def _observe_answer(
         self, spec: str, canonical: tuple[int, ...], future: Future
     ) -> None:
-        """Score one resolved answer against exact truth (sampled).
-
-        Runs on the receiver thread via a done callback; mirrors
-        :meth:`SetServer._observe_answer`'s scoring.  Telemetry only —
-        any failure is swallowed.
-        """
-        if self._exact is None or self.kind == "bloom":
-            return
+        """Score one resolved answer against exact truth (sampled); runs on
+        the receiver thread via a done callback."""
         if future.cancelled() or future.exception() is not None:
             return
-        try:
-            answer = future.result()
-            truth = exact_answer(
-                self.kind, self._exact, self.structure, canonical,
-                predicate=spec,
-            )
-            if self.kind == "cardinality":
-                error = float(q_error([float(answer)], [float(truth)])[0])
-            elif answer is None and truth is None:
-                error = 1.0
-            elif answer is None or truth is None:
-                error = float(self._exact.num_sets) + 1.0
-            else:
-                error = float(
-                    q_error([float(answer) + 1.0], [float(truth) + 1.0])[0]
-                )
-            self.workload.observe(spec, canonical, error)
-        except Exception:
-            pass
+        observe_answer(
+            self.workload, self.kind, self._exact, self.structure,
+            spec, canonical, future.result(),
+        )
 
     def _resolve_shed(self, future: Future, item: tuple[str, Any]) -> None:
         """Answer on the exact path (replica down / pool draining)."""

@@ -36,13 +36,9 @@ from ..core import (
     PredicateCardinalitySuite,
 )
 from ..core.qerror import q_error
+from ..infer.freeze import _raw_parts
 from ..obs.trace import Tracer, get_tracer
-from ..reliability import (
-    GuardedBloomFilter,
-    GuardedCardinalityEstimator,
-    GuardedPredicateSuite,
-    GuardedSetIndex,
-)
+from ..reliability import unwrap
 from ..sets.inverted import InvertedIndex
 from ..sets.predicates import SUBSET, Predicate, as_predicate
 from ..shard import (
@@ -55,25 +51,32 @@ from .cache import QueryCache
 from .snapshot import Snapshot, SnapshotHolder
 from .stats import ServerStats
 
-__all__ = ["SetServer", "canonical_query", "detect_kind", "exact_answer"]
+__all__ = [
+    "SetServer",
+    "canonical_query",
+    "detect_kind",
+    "exact_answer",
+    "observe_answer",
+    "supports_predicates",
+]
 
 _KIND_TYPES = {
     "cardinality": (
         LearnedCardinalityEstimator,
-        GuardedCardinalityEstimator,
         ShardedCardinalityEstimator,
         PredicateCardinalitySuite,
-        GuardedPredicateSuite,
     ),
-    "index": (LearnedSetIndex, GuardedSetIndex, ShardedSetIndex),
-    "bloom": (LearnedBloomFilter, GuardedBloomFilter, ShardedBloomFilter),
+    "index": (LearnedSetIndex, ShardedSetIndex),
+    "bloom": (LearnedBloomFilter, ShardedBloomFilter),
 }
 
 
 def detect_kind(structure: Any) -> str:
-    """Task kind (``cardinality`` / ``index`` / ``bloom``) of a structure."""
+    """Task kind (``cardinality`` / ``index`` / ``bloom``) of a structure
+    (a guarded facade has the kind of the structure it wraps)."""
+    inner = unwrap(structure)
     for kind, types in _KIND_TYPES.items():
-        if isinstance(structure, types):
+        if isinstance(inner, types):
             return kind
     raise TypeError(
         f"cannot serve {type(structure).__name__}; expected one of the "
@@ -81,22 +84,9 @@ def detect_kind(structure: Any) -> str:
     )
 
 
-def _inner_structure(structure: Any) -> Any:
-    """The raw learned structure behind a guarded facade (or itself)."""
-    if isinstance(structure, GuardedCardinalityEstimator):
-        return structure.estimator
-    if isinstance(structure, GuardedPredicateSuite):
-        return structure.suite
-    if isinstance(structure, GuardedSetIndex):
-        return structure.index
-    if isinstance(structure, GuardedBloomFilter):
-        return structure.filter
-    return structure
-
-
 def _backup_filter(structure: Any):
     """The Bloom backup filter of a (possibly guarded) membership structure."""
-    return getattr(_inner_structure(structure), "backup", None)
+    return getattr(unwrap(structure), "backup", None)
 
 
 def canonical_query(query: Any) -> tuple[int, ...] | None:
@@ -120,7 +110,7 @@ def _auxiliary_override_of(
     suite keeps one auxiliary map per member estimator, so the probe
     routes through ``estimator_for`` when the structure has one.
     """
-    inner = _inner_structure(structure)
+    inner = unwrap(structure)
     member_of = getattr(inner, "estimator_for", None)
     if callable(member_of):
         try:
@@ -179,6 +169,53 @@ def exact_answer(
         return True
     backup = _backup_filter(structure)
     return backup.contains_set(set(canonical)) if backup is not None else False
+
+
+def supports_predicates(kind: str, structure: Any) -> bool:
+    """Whether a served ``structure`` routes the non-subset predicates."""
+    if kind != "cardinality":
+        return False
+    flag = getattr(structure, "supports_predicates", None)
+    if flag is not None:
+        return bool(flag)
+    return hasattr(structure, "estimate_many_keyed")
+
+
+def observe_answer(
+    workload: Any,
+    kind: str,
+    exact: InvertedIndex | None,
+    structure: Any,
+    spec: str,
+    key: tuple[int, ...],
+    answer: Any,
+) -> None:
+    """Score one served answer against exact truth into ``workload``.
+
+    Shared by both serving tiers; runs only when the log's
+    ``observe_every`` sampling fires, so the exact intersection it costs
+    is amortized over the stream.  Bloom answers have no graded error to
+    observe; truth failures are swallowed — observation is telemetry,
+    never a request-path hazard.
+    """
+    if workload is None or exact is None or kind == "bloom":
+        return
+    try:
+        truth = exact_answer(kind, exact, structure, key, predicate=spec)
+        if kind == "cardinality":
+            error = float(q_error([float(answer)], [float(truth)])[0])
+        elif answer is None and truth is None:
+            error = 1.0
+        elif answer is None or truth is None:
+            # Missed an existing position (or found a phantom one):
+            # maximal disagreement on the position axis.
+            error = float(exact.num_sets) + 1.0
+        else:
+            # +1-shifted so position 0 is not floored away.
+            error = float(q_error([float(answer) + 1.0], [float(truth) + 1.0])[0])
+        workload.observe(spec, key, error)
+    except Exception:
+        pass
 
 
 class SetServer:
@@ -343,12 +380,12 @@ class SetServer:
         return snapshot
 
     def _attach_listener(self, structure: Any) -> None:
-        inner = _inner_structure(structure)
+        inner = unwrap(structure)
         if hasattr(inner, "add_update_listener"):
             inner.add_update_listener(self._listener)
 
     def _detach_listener(self, structure: Any) -> None:
-        inner = _inner_structure(structure)
+        inner = unwrap(structure)
         try:
             inner.remove_update_listener(self._listener)
         except (AttributeError, ValueError):
@@ -434,13 +471,7 @@ class SetServer:
 
     def supports_predicates(self) -> bool:
         """Whether the served structure routes the non-subset predicates."""
-        if self.kind != "cardinality":
-            return False
-        structure = self.structure
-        flag = getattr(structure, "supports_predicates", None)
-        if flag is not None:
-            return bool(flag)
-        return hasattr(structure, "estimate_many_keyed")
+        return supports_predicates(self.kind, self.structure)
 
     def submit(self, query: Iterable[int], predicate=None) -> Future:
         """Admit one query; returns a future resolving to its answer.
@@ -522,35 +553,9 @@ class SetServer:
     def _observe_answer(
         self, spec: str, key: tuple[int, ...], answer: Any
     ) -> None:
-        """Score one served answer against exact truth into the workload log.
-
-        Runs only when the log's ``observe_every`` sampling fires, so the
-        exact intersection it costs is amortized over the stream.  Bloom
-        answers have no graded error to observe; truth failures are
-        swallowed — observation is telemetry, never a request-path hazard.
-        """
-        if self.workload is None or self._exact is None or self.kind == "bloom":
-            return
-        try:
-            truth = exact_answer(
-                self.kind, self._exact, self.structure, key, predicate=spec
-            )
-            if self.kind == "cardinality":
-                error = float(q_error([float(answer)], [float(truth)])[0])
-            elif answer is None and truth is None:
-                error = 1.0
-            elif answer is None or truth is None:
-                # Missed an existing position (or found a phantom one):
-                # maximal disagreement on the position axis.
-                error = float(self._exact.num_sets) + 1.0
-            else:
-                # +1-shifted so position 0 is not floored away.
-                error = float(
-                    q_error([float(answer) + 1.0], [float(truth) + 1.0])[0]
-                )
-            self.workload.observe(spec, key, error)
-        except Exception:
-            pass
+        observe_answer(
+            self.workload, self.kind, self._exact, self.structure, spec, key, answer
+        )
 
     # -- batched execution (dispatcher thread) ---------------------------------
 
@@ -683,7 +688,7 @@ class SetServer:
         return float(getattr(health, field))
 
     def _fanout_stat(self, field: str) -> float:
-        inner = _inner_structure(self.structure)
+        inner = unwrap(self.structure)
         probe = getattr(inner, "fanout_stats", None)
         if probe is None:
             return 0.0
@@ -691,18 +696,11 @@ class SetServer:
 
     def _training_stat(self, field: str) -> float:
         """Aggregate build-report telemetry across shards (sum; loss: mean)."""
-        inner = _inner_structure(self.structure)
-        parts = getattr(inner, "parts", None)
-        reports = []
-        if parts is not None:
-            for part in parts:
-                report = getattr(_inner_structure(part), "report", None)
-                if report is not None:
-                    reports.append(report)
-        else:
-            report = getattr(inner, "report", None)
-            if report is not None:
-                reports.append(report)
+        reports = [
+            part.report
+            for part in _raw_parts(self.structure)
+            if getattr(part, "report", None) is not None
+        ]
         if not reports:
             return 0.0
         values = [float(getattr(report, field, 0.0)) for report in reports]
@@ -712,13 +710,7 @@ class SetServer:
 
     def _infer_stat(self, field: str) -> float:
         """Frozen-plan telemetry aggregated across the served parts."""
-        inner = _inner_structure(self.structure)
-        parts = getattr(inner, "parts", None)
-        raw_parts = (
-            [_inner_structure(part) for part in parts]
-            if parts is not None
-            else [inner]
-        )
+        raw_parts = _raw_parts(self.structure)
         plans = [
             plan
             for plan in (getattr(part, "infer_plan", None) for part in raw_parts)
@@ -764,7 +756,7 @@ class SetServer:
         out["degraded"] = self._degraded
         out["degrade_activations"] = self._degrade_activations
         out["degraded_served"] = self._degraded_served
-        fanout = getattr(_inner_structure(self.structure), "fanout_stats", None)
+        fanout = getattr(unwrap(self.structure), "fanout_stats", None)
         if fanout is not None:
             out["shard_fanout"] = fanout()
         return out

@@ -32,6 +32,7 @@ from ..core.index import LearnedSetIndex
 from ..core.membership import LearnedBloomFilter
 from ..core.predicate_suite import PredicateCardinalitySuite
 from ..core.training import TrainConfig
+from ..reliability import GUARD_FOR_TASK
 from ..sets.predicates import DEFAULT_PREDICATES
 from .plan import Shard, ShardPlan
 from .routers import (
@@ -216,27 +217,10 @@ class ShardedBuilder:
             parts[shard_id] = structure
         if self.guarded:
             parts = [
-                self._guard(task, part, shard.collection)
+                GUARD_FOR_TASK[task].for_collection(part, shard.collection)
                 for part, shard in zip(parts, self.plan)
             ]
         return parts
-
-    @staticmethod
-    def _guard(task: str, part: Any, collection):
-        from ..reliability import (
-            GuardedBloomFilter,
-            GuardedCardinalityEstimator,
-            GuardedPredicateSuite,
-            GuardedSetIndex,
-        )
-
-        if task == "cardinality":
-            return GuardedCardinalityEstimator.for_collection(part, collection)
-        if task == "index":
-            return GuardedSetIndex(part)
-        if task == "predicate":
-            return GuardedPredicateSuite.for_collection(part, collection)
-        return GuardedBloomFilter.for_collection(part, collection)
 
     # -- public API ------------------------------------------------------------
 

@@ -9,14 +9,21 @@ answers that silently change when a query happens to share a batch.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
 
+from repro.core import ModelConfig, PredicateCardinalitySuite, TrainConfig
 from repro.reliability import (
+    ALWAYS,
+    FaultInjector,
     GuardedBloomFilter,
     GuardedCardinalityEstimator,
+    GuardedPredicateSuite,
     GuardedSetIndex,
 )
+from repro.sets.predicates import DEFAULT_PREDICATES
 
 
 def subset_workload(collection, rng, num_queries=120, max_size=3):
@@ -34,12 +41,15 @@ def subset_workload(collection, rng, num_queries=120, max_size=3):
 
 
 def hostile_workload(collection, rng):
-    """The full mix for guarded facades: valid, OOV, empty, malformed."""
+    """The full mix for guarded facades: valid, duplicate, empty, OOV,
+    oversized, malformed."""
     oov = collection.max_element_id() + 10_000
     hostile = [
         (),  # empty
         (oov,),  # pure OOV
         (0, oov),  # mixed OOV
+        tuple(range(max(len(s) for s in collection) + 1)),  # oversized
+        tuple(collection[0][:2]) * 2,  # duplicate elements
         ("not", "ints"),  # malformed
         None,  # malformed
     ]
@@ -48,6 +58,77 @@ def hostile_workload(collection, rng):
                                hostile * 4):
         queries.insert(int(position), query)
     return queries
+
+
+#: task -> (facade, single-query call, batch call); the predicate suite's
+#: queries are ``(spec, query)`` items (see :func:`keyed`).
+GUARDED = {
+    "cardinality": (
+        GuardedCardinalityEstimator,
+        lambda guard, query: guard.estimate(query),
+        lambda guard, queries: guard.estimate_many(queries),
+    ),
+    "predicate": (
+        GuardedPredicateSuite,
+        lambda guard, item: guard.estimate(item[1], predicate=item[0]),
+        lambda guard, items: guard.estimate_many_keyed(items),
+    ),
+    "index": (
+        GuardedSetIndex,
+        lambda guard, query: guard.lookup(query),
+        lambda guard, queries: guard.lookup_many(queries),
+    ),
+    "bloom": (
+        GuardedBloomFilter,
+        lambda guard, query: guard.contains(query),
+        lambda guard, queries: guard.contains_many(queries),
+    ),
+}
+
+#: Every facade under injected NaN predictions, plus the one facade the
+#: per-facade tests below do not cover healthy.
+PARITY_CASES = [("predicate", False)] + [
+    pytest.param(task, True, marks=pytest.mark.faults) for task in GUARDED
+]
+
+
+def keyed(queries):
+    """Every query under every default predicate, as ``(spec, query)`` items."""
+    return [(p.spec, query) for query in queries for p in DEFAULT_PREDICATES]
+
+
+def assert_single_batch_parity(task, structure, truth, queries, nan):
+    """Two fresh facades over one structure — a loop of singles versus one
+    batch call — must agree on every answer *and* every health counter
+    (queries, short-circuits per reason, fallbacks per reason, model
+    answers), healthy or with every model prediction forced to NaN."""
+    facade, single, batch = GUARDED[task]
+    if task == "predicate":
+        queries = keyed(queries)
+    one, many = facade(structure, truth), facade(structure, truth)
+    with FaultInjector(nan_predictions=ALWAYS) if nan else nullcontext() as faults:
+        singles = [single(one, query) for query in queries]
+        batched = list(batch(many, queries))
+    if task in ("cardinality", "predicate"):
+        np.testing.assert_allclose(batched, singles, rtol=1e-7)
+    else:
+        assert batched == singles
+    assert one.health.as_dict() == many.health.as_dict()
+    assert one.health.queries == len(queries)
+    if nan:
+        assert faults.predictions_corrupted > 0
+
+
+@pytest.fixture(scope="module")
+def trained_suite(small_collection) -> PredicateCardinalitySuite:
+    return PredicateCardinalitySuite.build(
+        small_collection,
+        model_config=ModelConfig(kind="clsm", embedding_dim=4, seed=4),
+        train_config=TrainConfig(epochs=3, batch_size=256, lr=3e-3, seed=4),
+        num_samples=300,
+        max_subset_size=3,
+        rng=np.random.default_rng(4),
+    )
 
 
 class TestRawParity:
@@ -131,6 +212,24 @@ class TestGuardedParity:
         batched = many.contains_many(queries)
         assert list(batched) == singles
         assert one.health.as_dict() == many.health.as_dict()
+
+    @pytest.mark.parametrize("task, nan", PARITY_CASES)
+    def test_every_facade_parity_and_under_nan_predictions(
+        self, task, nan, request, ground_truth, small_collection, rng
+    ):
+        fixture = {
+            "cardinality": "trained_estimator",
+            "predicate": "trained_suite",
+            "index": "trained_index",
+            "bloom": "trained_filter",
+        }[task]
+        assert_single_batch_parity(
+            task,
+            request.getfixturevalue(fixture),
+            ground_truth,
+            hostile_workload(small_collection, rng),
+            nan,
+        )
 
     def test_guarded_parity_on_pure_duplicate_batch(
         self, trained_estimator, ground_truth, small_collection

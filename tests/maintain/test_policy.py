@@ -99,13 +99,20 @@ class TestAuxFraction:
         estimator.record_update((2, 3), 41)
         assert aux_fraction_of(estimator) > baseline
 
-    def test_guarded_facade_measures_the_wrapped_structure(self, collection, truth):
-        from repro.reliability import GuardedCardinalityEstimator
+    @pytest.mark.parametrize(
+        "facade", ["GuardedCardinalityEstimator", "GuardedPredicateSuite"]
+    )
+    def test_guarded_facade_measures_the_wrapped_structure(
+        self, collection, truth, facade
+    ):
+        import repro.reliability
 
         estimator = fresh_estimator(collection, seed=22)
         estimator.record_update((0,), 9)
-        guarded = GuardedCardinalityEstimator(estimator, truth, max_query_size=3)
-        assert aux_fraction_of(guarded) == aux_fraction_of(estimator)
+        guarded = getattr(repro.reliability, facade)(
+            estimator, truth, max_query_size=3
+        )
+        assert aux_fraction_of(guarded) == aux_fraction_of(estimator) > 0.0
 
     def test_sharded_stub_takes_max_of_router_and_part_fractions(self):
         part = SimpleNamespace(

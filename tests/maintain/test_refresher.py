@@ -14,7 +14,8 @@ from repro.maintain import (
     default_rebuilder,
     mutate_through,
 )
-from repro.reliability import GuardedCardinalityEstimator
+from repro.core import PredicateCardinalitySuite
+from repro.reliability import GuardedCardinalityEstimator, GuardedPredicateSuite
 from repro.serve import SetServer
 
 from tests.serve.conftest import wait_until
@@ -110,28 +111,51 @@ class TestManualRefresh:
         assert "repro_maintain_deltas_pending" in text
         assert "repro_maintain_running 0" in text  # loop not started
 
+    @pytest.mark.parametrize(
+        "facade, alias",
+        [(GuardedCardinalityEstimator, "estimator"), (GuardedPredicateSuite, "suite")],
+    )
     def test_guarded_facade_is_rewrapped_around_the_new_inner(
-        self, collection, truth
+        self, collection, truth, facade, alias
     ):
-        estimator = fresh_estimator(collection, seed=33)
-        guarded = GuardedCardinalityEstimator(estimator, truth, max_query_size=3)
-        server = SetServer(guarded, cache_size=16).start()
-        refresher = BackgroundRefresher(
-            server,
-            default_rebuilder(
-                guarded,
+        if facade is GuardedCardinalityEstimator:
+            inner = fresh_estimator(collection, seed=33)
+            retrain = default_rebuilder(
+                inner,
                 collection=collection,
                 model_config=small_model_config(2),
                 train_config=small_train_config(2),
                 max_subset_size=3,
-            ),
-        )
+            )
+        else:
+            # default_rebuilder has no suite path; a custom callable does.
+            def retrain(_suite):
+                return PredicateCardinalitySuite.build(
+                    collection,
+                    model_config=small_model_config(2),
+                    train_config=small_train_config(2),
+                    num_samples=60,
+                    max_subset_size=3,
+                    rng=np.random.default_rng(2),
+                )
+
+            inner = retrain(None)
+        guarded = facade(inner, truth, max_query_size=3)
+        server = SetServer(guarded, cache_size=16).start()
+        rebuilt_from = []
+
+        def rebuild(old_inner):
+            rebuilt_from.append(old_inner)
+            return retrain(old_inner)
+
+        refresher = BackgroundRefresher(server, rebuild)
         try:
             refresher.refresh_now()
             new = server.structure
-            assert isinstance(new, GuardedCardinalityEstimator)
+            assert rebuilt_from == [inner]  # the wrapped structure, not the guard
+            assert type(new) is facade
             assert new is not guarded
-            assert new.estimator is not estimator
+            assert getattr(new, alias) is not inner
             assert new.exact is truth  # the collection never changed
             assert new.max_query_size == 3
         finally:

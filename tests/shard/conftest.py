@@ -139,7 +139,8 @@ def mixed_workload(collection, rng, num_queries=220):
 
 
 def hostile_workload(collection, rng):
-    """The guarded-facade mix: valid, OOV, empty, oversized, malformed."""
+    """The guarded-facade mix: valid, duplicate, empty, OOV, oversized,
+    malformed."""
     oov = collection.max_element_id() + 10_000
     oversized = tuple(range(max(len(s) for s in collection) + 1))
     hostile = [
@@ -147,6 +148,7 @@ def hostile_workload(collection, rng):
         (oov,),
         (0, oov),
         oversized,
+        tuple(collection[0][:2]) * 2,
         ("not", "ints"),
         None,
     ]

@@ -21,6 +21,8 @@ from repro.reliability import (
     GuardedSetIndex,
 )
 
+from tests.core.test_batch_parity import PARITY_CASES, assert_single_batch_parity
+
 from .conftest import fresh_router, hostile_workload, subset_workload
 
 
@@ -84,6 +86,14 @@ class TestGuardedOverShardedParity:
         batched = many.contains_many(queries)
         assert list(batched) == singles
         assert one.health.as_dict() == many.health.as_dict()
+
+    @pytest.mark.parametrize("task, nan", PARITY_CASES)
+    def test_every_facade_parity_and_under_nan_predictions(
+        self, task, nan, routers, truth, collection, rng
+    ):
+        assert_single_batch_parity(
+            task, routers(task, 3), truth, hostile_workload(collection, rng), nan
+        )
 
 
 class TestUpdateFanout:

@@ -10,15 +10,15 @@ The feedback loop ROADMAP item 5 asks for, in four pieces:
 * :class:`ShardStalenessTracker` / :func:`probe_shard_errors` —
   Algorithm 2's local error bounds applied to staleness: observed error
   bucketed by shard offsets;
-* :class:`AdaptiveRefresher` — rebuilds *only* tripped shards
-  (:func:`workload_shard_rebuilder`) and hot-swaps them individually.
+* :class:`AdaptiveRefresher` — the maintain layer's one refresher
+  (:class:`repro.maintain.BackgroundRefresher`, importable here under its
+  old name) with a workload attached: its ``shards[i...]`` plan rebuilds
+  *only* tripped shards (:func:`workload_shard_rebuilder`) and hot-swaps
+  them individually.
 """
 
-from .refresher import (
-    AdaptiveRefresher,
-    workload_rebuilder,
-    workload_shard_rebuilder,
-)
+from ..maintain.refresher import BackgroundRefresher as AdaptiveRefresher
+from .refresher import workload_shard_rebuilder
 from .sampler import sample_from_workload
 from .tracker import ShardStalenessTracker, probe_shard_errors
 from .workload import WorkloadEntry, WorkloadLog
@@ -30,6 +30,5 @@ __all__ = [
     "WorkloadLog",
     "probe_shard_errors",
     "sample_from_workload",
-    "workload_rebuilder",
     "workload_shard_rebuilder",
 ]

@@ -1,33 +1,22 @@
-"""Workload-adaptive refresh: frequency-weighted retraining, targeted swaps.
+"""The workload-weighted shard recipe for targeted refresh.
 
-:class:`AdaptiveRefresher` extends the maintain layer's
-:class:`~repro.maintain.BackgroundRefresher` with the feedback loop
-ROADMAP item 5 calls for:
-
-* its staleness observations include *per-shard* observed q-error
-  (:class:`~repro.adapt.ShardStalenessTracker`, filled by
-  :func:`~repro.adapt.probe_shard_errors` over the workload log), so the
-  policy can trip individual ``local_q_error:shard<i>`` reasons;
-* when **only** per-shard reasons trip, it rebuilds just those shards —
-  frequency-weighted by the observed workload — and publishes through
-  ``router.with_parts`` + the server's snapshot swap, leaving every other
-  shard's part object untouched (byte-identical, and never a torn router);
-* full rebuilds (mixed or global reasons) keep the parent's behavior.
-
-:func:`workload_shard_rebuilder` builds one shard's replacement part:
-exhaustive base pairs over the shard's *current* collection (coverage),
-observed shard-local queries merged in with their frequencies as sample
-weights (:func:`repro.core.hybrid.guided_fit`'s weighted path), and the
-hottest still-misestimated observed queries pinned into the part's exact
+:func:`workload_shard_rebuilder` builds the replacement part that the
+refresher's ``shards[i...]`` plan (:class:`repro.maintain.
+BackgroundRefresher`) swaps in for one tripped shard: exhaustive base
+pairs over the shard's *current* collection (coverage), observed
+shard-local queries merged in with their frequencies as sample weights
+(:func:`repro.core.train_structure`'s weighted path), and the hottest
+still-misestimated observed queries pinned into the part's exact
 auxiliary — guided learning's eviction idea (§6) applied to the observed
-workload instead of the training set.  :func:`workload_rebuilder` is the
-unsharded analogue, augmenting the base corpus with
-:func:`~repro.adapt.sample_from_workload`.
+workload instead of the training set.  Tasks without a graded per-query
+error to weight by (membership, the predicate suite) get a plain
+per-shard retrain.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
+from functools import partial
 from typing import Any, Callable
 
 import numpy as np
@@ -35,55 +24,16 @@ import numpy as np
 from ..core.cardinality import LearnedCardinalityEstimator
 from ..core.config import ModelConfig
 from ..core.index import LearnedSetIndex
-from ..core.membership import LearnedBloomFilter
 from ..core.qerror import q_error
-from ..core.scaling import LogMinMaxScaler
+from ..core.recipe import task_of, train_structure
 from ..core.training import TrainConfig
-from ..maintain.policy import StalenessPolicy, StalenessState, tripped_shards
-from ..maintain.refresher import (
-    BackgroundRefresher,
-    RefreshError,
-    rewrap_like,
-    unwrap_structure,
-)
+from ..maintain.refresher import rewrap_like, unwrap_structure
 from ..sets.inverted import InvertedIndex
 from ..sets.subsets import cardinality_training_pairs, index_training_pairs
-from .sampler import sample_from_workload
-from .tracker import ShardStalenessTracker, probe_shard_errors
+from .sampler import _clean_observed
 from .workload import WorkloadEntry, WorkloadLog
 
-__all__ = [
-    "AdaptiveRefresher",
-    "workload_rebuilder",
-    "workload_shard_rebuilder",
-]
-
-_ROUTER_TASKS = {
-    "ShardedCardinalityEstimator": "cardinality",
-    "ShardedSetIndex": "index",
-    "ShardedBloomFilter": "bloom",
-}
-
-
-def _observed_for_shard(
-    workload: WorkloadLog, ceiling: int, budget: int
-) -> list[WorkloadEntry]:
-    """Hottest usable subset entries that can reach a shard with ``ceiling``.
-
-    The subset skip rule is ``max(query) <= ceiling``, so entries above it
-    never fan to the shard and carry no signal for its model.  Empty and
-    out-of-range queries are dropped here — the same hygiene as
-    :func:`~repro.adapt.sample_from_workload`.
-    """
-    usable = [
-        entry
-        for entry in workload.top()
-        if entry.spec == "subset"
-        and entry.canonical
-        and entry.canonical[0] >= 0
-        and entry.canonical[-1] <= ceiling
-    ]
-    return usable[:budget]
+__all__ = ["workload_shard_rebuilder"]
 
 
 def _merge_observed(
@@ -140,97 +90,60 @@ def workload_shard_rebuilder(
     """
     model_config = model_config or ModelConfig()
     train_config = train_config or TrainConfig(epochs=6)
+    options = dict(
+        removal=removal,
+        max_subset_size=max_subset_size,
+        max_training_samples=max_training_samples,
+        num_negative_samples=num_negative_samples,
+        error_range_length=error_range_length,
+    )
     state = {"generation": 0}
 
     def rebuild_shard(router: Any, shard_id: int) -> Any:
-        task = _ROUTER_TASKS.get(type(router).__name__)
-        if task is None:
-            raise RefreshError(
-                f"cannot shard-rebuild a {type(router).__name__}"
-            )
+        task = task_of(router)
         state["generation"] += 1
-        shard = router.plan[shard_id]
+        collection = router.plan[shard_id].collection
         old_part = router.parts[shard_id]
         seed = base_seed + 1000 * (shard_id + 1) + state["generation"]
-        rng = np.random.default_rng(seed)
-        seeded_model = replace(model_config, seed=seed)
-        seeded_train = replace(train_config, seed=seed)
-        collection = shard.collection
-        if task == "bloom":
-            # Membership has no graded per-query error to weight by; a
-            # targeted rebuild is a plain per-shard retrain.
-            new_inner = LearnedBloomFilter.build(
-                collection,
-                model_config=seeded_model,
-                train_config=replace(seeded_train, loss="bce"),
-                max_subset_size=max_subset_size,
-                max_positive_samples=max_training_samples,
-                num_negative_samples=num_negative_samples,
-            )
-            return rewrap_like(old_part, new_inner)
-        exact_local = InvertedIndex(collection)
-        observed = _observed_for_shard(
-            workload, collection.max_element_id(), observed_budget
+        train = partial(
+            train_structure,
+            task,
+            collection,
+            replace(model_config, seed=seed),
+            replace(train_config, seed=seed),
+            **options,
         )
-        if task == "cardinality":
-            base_subsets, base_targets = cardinality_training_pairs(
-                collection,
-                max_subset_size=max_subset_size,
-                max_samples=max_training_samples,
-                rng=rng,
-            )
-            subsets = [tuple(s) for s in base_subsets]
-            targets = [float(t) for t in np.asarray(base_targets)]
-            weights = [1.0] * len(subsets)
-            _merge_observed(
-                subsets, targets, weights, observed,
-                lambda c: float(exact_local.cardinality(c)),
-            )
-            scaler = LogMinMaxScaler.for_cardinality(
-                exact_local.max_element_cardinality()
-            )
-            new_inner = LearnedCardinalityEstimator.from_training_data(
-                subsets,
-                np.asarray(targets, dtype=np.float64),
-                max_element_id=collection.max_element_id(),
-                scaler=scaler,
-                model_config=seeded_model,
-                train_config=seeded_train,
-                removal=removal,
-                rng=rng,
-                sample_weights=np.asarray(weights, dtype=np.float64),
-            )
-            _pin_hot_cardinality(
-                new_inner, exact_local, observed, pin_budget, pin_q_error
-            )
-        else:
-            base_subsets, base_positions = index_training_pairs(
-                collection,
-                max_subset_size=max_subset_size,
-                max_samples=max_training_samples,
-                rng=rng,
-            )
-            subsets = [tuple(s) for s in base_subsets]
-            targets = [float(p) for p in np.asarray(base_positions)]
-            weights = [1.0] * len(subsets)
-
-            def local_position(canonical):
-                position = exact_local.first_position(canonical)
-                return None if position is None else float(position)
-
-            _merge_observed(subsets, targets, weights, observed, local_position)
-            new_inner = LearnedSetIndex.build(
-                collection,
-                model_config=seeded_model,
-                train_config=seeded_train,
-                removal=removal,
-                error_range_length=error_range_length,
-                training_pairs=(
-                    subsets, np.asarray(targets, dtype=np.float64)
-                ),
-                sample_weights=np.asarray(weights, dtype=np.float64),
-            )
-            _pin_hot_index(new_inner, exact_local, observed, pin_budget)
+        if task not in _WEIGHTED:
+            family = getattr(unwrap_structure(old_part), "predicates", None)
+            return rewrap_like(old_part, train(predicates=family))
+        enumerate_pairs, label, pin, fit_continues_rng = _WEIGHTED[task]
+        rng = np.random.default_rng(seed)
+        exact_local = InvertedIndex(collection)
+        # The hottest usable entries that can reach this shard: the subset
+        # skip rule is ``max(query) <= ceiling``, so entries above the
+        # shard's ceiling never fan to it and carry no signal for its model.
+        observed = _clean_observed(
+            workload.top(), "subset", collection.max_element_id()
+        )[:observed_budget]
+        base_subsets, base_targets = enumerate_pairs(
+            collection,
+            max_subset_size=max_subset_size,
+            max_samples=max_training_samples,
+            rng=rng,
+        )
+        subsets = [tuple(s) for s in base_subsets]
+        targets = [float(t) for t in np.asarray(base_targets)]
+        weights = [1.0] * len(subsets)
+        _merge_observed(
+            subsets, targets, weights, observed, partial(label, exact_local)
+        )
+        new_inner = train(
+            rng=rng if fit_continues_rng else None,
+            training_pairs=(subsets, np.asarray(targets, dtype=np.float64)),
+            sample_weights=np.asarray(weights, dtype=np.float64),
+        )
+        if pin_budget > 0:
+            pin(new_inner, exact_local, observed, pin_budget, pin_q_error)
         return rewrap_like(old_part, new_inner)
 
     return rebuild_shard
@@ -247,31 +160,20 @@ def _pin_hot_cardinality(
 
     Guided learning evicts *training* outliers into the auxiliary (§6);
     the workload-aware variant does the same for observed queries the
-    refreshed model still gets wrong — the hottest first, bounded by
-    ``pin_budget`` so the auxiliary cannot degenerate into a cache of the
-    whole stream.
+    refreshed model still gets wrong — the hottest first (``observed``
+    arrives in that order), bounded by ``pin_budget`` so the auxiliary
+    cannot degenerate into a cache of the whole stream.
     """
-    if pin_budget <= 0:
+    queries = [e.canonical for e in observed if e.canonical not in part.auxiliary]
+    if not queries:
         return
-    candidates = [e for e in observed if e.canonical not in part.auxiliary]
-    if not candidates:
-        return
-    queries = [e.canonical for e in candidates]
-    estimates = part.estimate_many(queries)
     truths = np.asarray(
         [exact_local.cardinality(c) for c in queries], dtype=np.float64
     )
-    errors = q_error(estimates, truths)
-    ranked = sorted(
-        zip(candidates, errors, truths), key=lambda item: -item[0].count
-    )
-    pinned = 0
-    for entry, error, truth in ranked:
-        if pinned >= pin_budget:
-            break
-        if error > pin_q_error:
-            part.auxiliary[entry.canonical] = int(truth)
-            pinned += 1
+    errors = q_error(part.estimate_many(queries), truths)
+    wrong = [(q, t) for q, t, e in zip(queries, truths, errors) if e > pin_q_error]
+    for query, truth in wrong[:pin_budget]:
+        part.auxiliary[query] = int(truth)
 
 
 def _pin_hot_index(
@@ -279,16 +181,17 @@ def _pin_hot_index(
     exact_local: InvertedIndex,
     observed: list[WorkloadEntry],
     pin_budget: int,
+    _pin_q_error: float,
 ) -> None:
     """Absorb hot observed positions through the index's own update path.
 
     ``insert_update`` stores a position only when it falls outside the
-    query-time search window, so in-window hot queries cost nothing.
+    query-time search window, so in-window hot queries cost nothing (and
+    no q-error threshold is needed to pick them).  Hottest first:
+    ``observed`` arrives in that order.
     """
-    if pin_budget <= 0:
-        return
     pinned = 0
-    for entry in sorted(observed, key=lambda e: -e.count):
+    for entry in observed:
         if pinned >= pin_budget:
             break
         position = exact_local.first_position(entry.canonical)
@@ -298,332 +201,21 @@ def _pin_hot_index(
         pinned += 1
 
 
-def workload_rebuilder(
-    structure: Any,
-    workload: WorkloadLog,
-    *,
-    collection=None,
-    model_config: ModelConfig | None = None,
-    train_config: TrainConfig | None = None,
-    removal=None,
-    max_subset_size: int | None = 4,
-    max_training_samples: int | None = None,
-    num_samples: int = 512,
-    novelty_fraction: float = 0.25,
-    base_seed: int = 1,
-) -> Callable[[Any], Any]:
-    """A full-rebuild callable that folds the observed workload in.
-
-    The unsharded counterpart of :func:`workload_shard_rebuilder`: base
-    training pairs over the collection plus
-    :func:`~repro.adapt.sample_from_workload`'s frequency-weighted
-    observed/novelty mix, trained through the sample-weight path.  Only
-    cardinality and index structures have a weighted path; anything else
-    (Bloom filters, sharded routers reaching this as the *full* fallback)
-    raises so callers wire :func:`repro.maintain.default_rebuilder`
-    explicitly instead of silently losing the workload signal.
-    """
-    inner = unwrap_structure(structure)
-    coll = getattr(inner, "collection", None) or collection
-    if coll is None:
-        raise ValueError(
-            f"cannot rebuild a {type(inner).__name__} without its "
-            "training collection: pass collection=..."
-        )
-    model_config = model_config or ModelConfig()
-    train_config = train_config or TrainConfig(epochs=6)
-    state = {"generation": 0}
-
-    def rebuild(current_inner: Any) -> Any:
-        state["generation"] += 1
-        seed = base_seed + state["generation"]
-        rng = np.random.default_rng(seed)
-        seeded_model = replace(model_config, seed=seed)
-        seeded_train = replace(train_config, seed=seed)
-        exact = InvertedIndex(coll)
-        if isinstance(current_inner, LearnedCardinalityEstimator):
-            base_subsets, base_targets = cardinality_training_pairs(
-                coll,
-                max_subset_size=max_subset_size,
-                max_samples=max_training_samples,
-                rng=rng,
-            )
-            subsets = [tuple(s) for s in base_subsets]
-            targets = [float(t) for t in np.asarray(base_targets)]
-            weights = [1.0] * len(subsets)
-            obs_subsets, obs_targets, obs_weights = sample_from_workload(
-                workload, coll, exact,
-                kind="cardinality",
-                num_samples=num_samples,
-                novelty_fraction=novelty_fraction,
-                max_subset_size=max_subset_size or 6,
-                rng=rng,
-            )
-            entries = [
-                WorkloadEntry(
-                    spec="subset", canonical=c, count=max(int(w), 1), last_seq=0
-                )
-                for c, w in zip(obs_subsets, obs_weights)
-            ]
-            _merge_observed(
-                subsets, targets, weights, entries,
-                lambda c: float(exact.cardinality(c)),
-            )
-            scaler = LogMinMaxScaler.for_cardinality(
-                exact.max_element_cardinality()
-            )
-            return LearnedCardinalityEstimator.from_training_data(
-                subsets,
-                np.asarray(targets, dtype=np.float64),
-                max_element_id=coll.max_element_id(),
-                scaler=scaler,
-                model_config=seeded_model,
-                train_config=seeded_train,
-                removal=removal,
-                rng=rng,
-                sample_weights=np.asarray(weights, dtype=np.float64),
-            )
-        if isinstance(current_inner, LearnedSetIndex):
-            base_subsets, base_positions = index_training_pairs(
-                coll,
-                max_subset_size=max_subset_size,
-                max_samples=max_training_samples,
-                rng=rng,
-            )
-            subsets = [tuple(s) for s in base_subsets]
-            targets = [float(p) for p in np.asarray(base_positions)]
-            weights = [1.0] * len(subsets)
-            obs_subsets, obs_targets, obs_weights = sample_from_workload(
-                workload, coll, exact,
-                kind="index",
-                num_samples=num_samples,
-                novelty_fraction=novelty_fraction,
-                max_subset_size=max_subset_size or 6,
-                rng=rng,
-            )
-            entries = [
-                WorkloadEntry(
-                    spec="subset", canonical=c, count=max(int(w), 1), last_seq=0
-                )
-                for c, w in zip(obs_subsets, obs_weights)
-            ]
-
-            def global_position(canonical):
-                position = exact.first_position(canonical)
-                return None if position is None else float(position)
-
-            _merge_observed(subsets, targets, weights, entries, global_position)
-            return LearnedSetIndex.build(
-                coll,
-                model_config=seeded_model,
-                train_config=seeded_train,
-                removal=removal,
-                training_pairs=(
-                    subsets, np.asarray(targets, dtype=np.float64)
-                ),
-                sample_weights=np.asarray(weights, dtype=np.float64),
-            )
-        raise RefreshError(
-            f"workload_rebuilder has no weighted path for "
-            f"{type(current_inner).__name__}; use default_rebuilder"
-        )
-
-    return rebuild
-
-
-class AdaptiveRefresher(BackgroundRefresher):
-    """Drift-aware refresher: observed workload in, targeted swaps out.
-
-    Parameters beyond :class:`~repro.maintain.BackgroundRefresher`'s:
-
-    workload:
-        The :class:`~repro.adapt.WorkloadLog` the serving layer records
-        into.  Registered as ``server.workload`` when the server has none
-        (the serving hooks pick it up from there).
-    tracker:
-        Optional :class:`~repro.adapt.ShardStalenessTracker`.  When set
-        (and the served structure is sharded), every staleness
-        observation first runs :func:`~repro.adapt.probe_shard_errors`
-        over the most recent workload entries, then reports the tracker's
-        per-shard means as ``StalenessState.shard_q_errors``.
-    shard_rebuild:
-        ``shard_rebuild(router, shard_id) -> part``
-        (:func:`workload_shard_rebuilder`).  Required for the targeted
-        path; without it every trip falls back to a full rebuild.
-    exact:
-        Exact truth source for the probe; defaults to the server's paired
-        exact structure.
-    probe_entries:
-        How many recent workload entries each probe scores.
-    """
-
-    def __init__(
-        self,
-        server: Any,
-        rebuild: Callable[[Any], Any],
-        *,
-        workload: WorkloadLog,
-        tracker: ShardStalenessTracker | None = None,
-        shard_rebuild: Callable[[Any, int], Any] | None = None,
-        exact: Any = None,
-        probe_entries: int = 64,
-        policy: StalenessPolicy | None = None,
-        **kwargs,
-    ):
-        self.workload = workload
-        self.tracker = tracker
-        self.shard_rebuild = shard_rebuild
-        self.probe_entries = int(probe_entries)
-        self.partial_refreshes = 0
-        self.shards_rebuilt = 0
-        self._active_reasons: list[str] = []
-        self._exact_override = exact
-        super().__init__(server, rebuild, policy=policy, **kwargs)
-        if getattr(server, "workload", None) is None:
-            server.workload = workload
-        self._register_adapt_metrics()
-
-    # -- staleness -------------------------------------------------------------
-
-    def _probe_exact(self) -> Any:
-        if self._exact_override is not None:
-            return self._exact_override
-        return getattr(self.server, "_exact", None)
-
-    def collect_state(self) -> StalenessState:
-        state = super().collect_state()
-        if self.tracker is not None:
-            inner = unwrap_structure(self.server.structure)
-            exact = self._probe_exact()
-            if getattr(inner, "parts", None) is not None and exact is not None:
-                probe_shard_errors(
-                    inner,
-                    exact,
-                    self.workload.recent(self.probe_entries),
-                    self.tracker,
-                    max_queries=self.probe_entries,
-                )
-            errors = self.tracker.q_errors()
-            state.shard_q_errors = errors or None
-        return state
-
-    # -- the targeted refresh --------------------------------------------------
-
-    def refresh_now(self, reasons=("manual",)):
-        self._active_reasons = list(reasons)
-        try:
-            return super().refresh_now(reasons)
-        finally:
-            self._active_reasons = []
-
-    def _refresh(self, span: dict):
-        shard_ids = tripped_shards(self._active_reasons)
-        inner = unwrap_structure(self.server.structure)
-        parts = getattr(inner, "parts", None)
-        targeted = (
-            bool(shard_ids)
-            # *Only* per-shard reasons tripped: a global signal (deltas,
-            # aux fraction, probe drift) still means a full rebuild.
-            and len(shard_ids) == len(self._active_reasons)
-            and parts is not None
-            and len(shard_ids) < len(parts)
-            and self.shard_rebuild is not None
-        )
-        if not targeted:
-            snapshot = super()._refresh(span)
-            if self.tracker is not None:
-                # Every part was replaced; the old windows describe models
-                # that no longer serve.
-                for shard_id in range(self.tracker.num_shards):
-                    self.tracker.reset(shard_id)
-            return snapshot
-        return self._refresh_partial(span, shard_ids)
-
-    def _refresh_partial(self, span: dict, shard_ids: list[int]):
-        old = self.server.structure
-        old_inner = unwrap_structure(old)
-        pre_mark = self.delta.mark()
-        replacements = {
-            shard_id: self.shard_rebuild(old_inner, shard_id)
-            for shard_id in shard_ids
-        }
-        new_inner = old_inner.with_parts(replacements)
-        snapshot = self._publish(old, old_inner, new_inner, pre_mark, span)
-        if self.tracker is not None:
-            for shard_id in shard_ids:
-                self.tracker.reset(shard_id)
-        self.partial_refreshes += 1
-        self.shards_rebuilt += len(shard_ids)
-        self._metric_partial.inc()
-        self._metric_shards.inc(len(shard_ids))
-        span["attrs"]["targeted_shards"] = ",".join(map(str, shard_ids))
-        return snapshot
-
-    # -- reporting -------------------------------------------------------------
-
-    def _register_adapt_metrics(self) -> None:
-        registry = self.server.registry
-        self._metric_partial = registry.counter(
-            "repro_adapt_partial_refreshes_total",
-            "Targeted refreshes that rebuilt only tripped shards",
-        )
-        self._metric_shards = registry.counter(
-            "repro_adapt_shards_rebuilt_total",
-            "Individual shard parts rebuilt by targeted refreshes",
-        )
-        registry.gauge_function(
-            "repro_adapt_workload_keys",
-            "Distinct (predicate, query) keys currently in the workload log",
-            lambda: float(len(self.workload)),
-        )
-        registry.gauge_function(
-            "repro_adapt_workload_records_total",
-            "Queries recorded into the workload log over its lifetime",
-            lambda: float(self.workload.total_records),
-        )
-        registry.gauge_function(
-            "repro_adapt_workload_evictions_total",
-            "Workload-log entries evicted by the capacity bound",
-            lambda: float(self.workload.evictions),
-        )
-        registry.gauge_function(
-            "repro_adapt_observed_q_error",
-            "Mean q-error observed against exact truth (NaN before any "
-            "sampled observation)",
-            self.workload.mean_observed_q_error,
-        )
-        registry.gauge_function(
-            "repro_adapt_tripped_shards",
-            "Shards whose windowed local q-error currently exceeds the "
-            "policy threshold",
-            self._count_tripped,
-        )
-
-    def _count_tripped(self) -> float:
-        if self.tracker is None or self.policy.max_local_q_error is None:
-            return 0.0
-        threshold = self.policy.max_local_q_error
-        return float(
-            sum(1 for value in self.tracker.q_errors().values() if value > threshold)
-        )
-
-    def status(self) -> dict:
-        base = super().status()
-        base["adaptive"] = True
-        base["partial_refreshes"] = self.partial_refreshes
-        base["shards_rebuilt"] = self.shards_rebuilt
-        return base
-
-    def staleness_status(self) -> dict:
-        """The ``STALENESS`` verb's JSON body."""
-        state = self.collect_state()
-        return {
-            "adaptive": True,
-            "policy": self.policy.as_dict(),
-            "state": state.as_dict(),
-            "tripped": self.policy.evaluate(state),
-            "workload": self.workload.as_dict(),
-            "tracker": self.tracker.as_dict() if self.tracker else None,
-            "partial_refreshes": self.partial_refreshes,
-            "shards_rebuilt": self.shards_rebuilt,
-        }
+#: task -> (base-pair enumerator, exact label of a query (``None`` = no
+#: label exists), hot-query pinning, whether the fit shuffles with the
+#: enumeration's generator or a fresh one of the same seed — kept per task
+#: so a replayed refresh reproduces the weights it always produced).
+_WEIGHTED = {
+    "cardinality": (
+        cardinality_training_pairs,
+        InvertedIndex.cardinality,
+        _pin_hot_cardinality,
+        True,
+    ),
+    "index": (
+        index_training_pairs,
+        InvertedIndex.first_position,
+        _pin_hot_index,
+        False,
+    ),
+}

@@ -16,10 +16,8 @@ from typing import Sequence
 
 import numpy as np
 
-from ..core.cardinality import LearnedCardinalityEstimator
 from ..core.config import ModelConfig
-from ..core.index import LearnedSetIndex
-from ..core.membership import LearnedBloomFilter
+from ..core.recipe import train_structure
 from ..core.training import TrainConfig
 from ..infer import GateConfig, freeze_structure
 from ..sets.collection import SetCollection
@@ -125,27 +123,13 @@ def run_infer_bench(
     )
     train = TrainConfig(epochs=epochs, seed=seed)
     results = {}
-    if "cardinality" in structures:
-        estimator = LearnedCardinalityEstimator.build(
-            collection, model_config=model_config, train_config=train,
-            max_subset_size=3,
-        )
-        results["cardinality"] = _bench_structure(
-            estimator, "cardinality", queries, repeats, gates
-        )
-    if "index" in structures:
-        index = LearnedSetIndex.build(
-            collection, model_config=model_config, train_config=train,
-            max_subset_size=2,
-        )
-        results["index"] = _bench_structure(index, "index", queries, repeats, gates)
-    if "bloom" in structures:
-        bloom = LearnedBloomFilter.build(
-            collection, model_config=model_config,
-            train_config=TrainConfig(epochs=epochs, seed=seed, loss="bce"),
-            max_subset_size=3,
-        )
-        results["bloom"] = _bench_structure(bloom, "bloom", queries, repeats, gates)
+    for task, max_subset_size in (("cardinality", 3), ("index", 2), ("bloom", 3)):
+        if task in structures:
+            structure = train_structure(
+                task, collection, model_config, train,
+                max_subset_size=max_subset_size,
+            )
+            results[task] = _bench_structure(structure, task, queries, repeats, gates)
 
     speedups = [
         entry["variants"]["float32"]["speedup"] for entry in results.values()

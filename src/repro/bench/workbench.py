@@ -25,6 +25,7 @@ from ..core import (
     ModelConfig,
     OutlierRemovalConfig,
     TrainConfig,
+    train_structure,
 )
 from ..datasets import load_dataset
 from ..sets import InvertedIndex, SetCollection, sample_query_workload
@@ -173,16 +174,14 @@ def get_cardinality_estimator(
         if hybrid
         else None
     )
-    return LearnedCardinalityEstimator.build(
+    return train_structure(
+        "cardinality",
         get_collection(name),
-        model_config=model_config(kind, "cardinality"),
-        train_config=TrainConfig(
-            epochs=_EPOCHS, batch_size=1024, lr=5e-3, loss="mse", seed=0
-        ),
+        model_config(kind, "cardinality"),
+        TrainConfig(epochs=_EPOCHS, batch_size=1024, lr=5e-3, loss="mse", seed=0),
         removal=removal,
         max_subset_size=MAX_SUBSET_SIZE,
         max_training_samples=MAX_TRAINING_SAMPLES,
-        rng=np.random.default_rng(0),
         training_pairs=get_cardinality_pairs(name),
     )
 
@@ -199,31 +198,27 @@ def get_set_index(
         if percentile is not None
         else None
     )
-    return LearnedSetIndex.build(
+    return train_structure(
+        "index",
         get_collection(name),
-        model_config=model_config(kind, "index"),
-        train_config=TrainConfig(
-            epochs=_EPOCHS, batch_size=1024, lr=5e-3, loss="mse", seed=1
-        ),
+        model_config(kind, "index"),
+        TrainConfig(epochs=_EPOCHS, batch_size=1024, lr=5e-3, loss="mse", seed=1),
         removal=removal,
         max_subset_size=MAX_SUBSET_SIZE,
         max_training_samples=MAX_TRAINING_SAMPLES,
         error_range_length=error_range_length,
-        rng=np.random.default_rng(1),
         training_pairs=get_index_pairs(name),
     )
 
 
 @lru_cache(maxsize=None)
 def get_bloom_filter(name: str, kind: str) -> LearnedBloomFilter:
-    return LearnedBloomFilter.build(
+    return train_structure(
+        "bloom",
         get_collection(name),
-        model_config=model_config(kind, "bloom"),
-        train_config=TrainConfig(
-            epochs=25, batch_size=1024, lr=5e-3, loss="bce", seed=2
-        ),
+        model_config(kind, "bloom"),
+        TrainConfig(epochs=25, batch_size=1024, lr=5e-3, seed=2),
         max_subset_size=3,
-        max_positive_samples=MAX_TRAINING_SAMPLES,
+        max_training_samples=MAX_TRAINING_SAMPLES,
         num_negative_samples=min(MAX_TRAINING_SAMPLES, 20_000),
-        rng=np.random.default_rng(2),
     )

@@ -48,16 +48,7 @@ import pickle
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from .core import (
-    LearnedBloomFilter,
-    LearnedCardinalityEstimator,
-    LearnedSetIndex,
-    ModelConfig,
-    OutlierRemovalConfig,
-    TrainConfig,
-)
+from .core import ModelConfig, OutlierRemovalConfig, TrainConfig, train_structure
 from .datasets import DATASETS, load_dataset
 from .reliability import GUARD_FOR_TASK, GuardedEstimator
 from .sets import SetCollection
@@ -482,72 +473,40 @@ def _cmd_trace_dump(args) -> int:
     return 0
 
 
+def _recipe_args(args) -> dict:
+    """``train_structure`` / ``ShardedBuilder`` arguments described by ``args``
+    (shared by train, build and bench-serve)."""
+    bloom = args.task == "bloom"
+    hybrid = not bloom and not getattr(args, "no_hybrid", False)
+    return dict(
+        model_config=ModelConfig(
+            kind=getattr(args, "kind", "clsm"),
+            embedding_dim=getattr(args, "embedding_dim", 8),
+            seed=args.seed,
+        ),
+        train_config=TrainConfig(
+            epochs=args.epochs,
+            batch_size=getattr(args, "batch_size", 1024),
+            lr=getattr(args, "lr", 5e-3),
+            loss="mse",
+            seed=args.seed,
+        ),
+        removal=OutlierRemovalConfig(
+            percentile=90.0, at_epochs=(max(args.epochs * 2 // 3, 1),)
+        ) if hybrid else None,
+        max_subset_size=min(args.max_subset_size, 3) if bloom else args.max_subset_size,
+        max_training_samples=args.max_training_samples,
+    )
+
+
 def _build_structure(args, collection: SetCollection):
     """Train the structure described by ``args`` (shared by train/bench-serve)."""
-    kind = getattr(args, "kind", "clsm")
-    batch_size = getattr(args, "batch_size", 1024)
-    lr = getattr(args, "lr", 5e-3)
-    model_config = ModelConfig(
-        kind=kind, embedding_dim=getattr(args, "embedding_dim", 8), seed=args.seed
+    structure = train_structure(
+        args.task,
+        collection,
+        num_negative_samples=args.max_training_samples // 2,
+        **_recipe_args(args),
     )
-    removal = None if getattr(args, "no_hybrid", False) else OutlierRemovalConfig(
-        percentile=90.0, at_epochs=(max(args.epochs * 2 // 3, 1),)
-    )
-    rng = np.random.default_rng(args.seed)
-    if args.task == "cardinality":
-        structure = LearnedCardinalityEstimator.build(
-            collection,
-            model_config=model_config,
-            train_config=TrainConfig(
-                epochs=args.epochs, batch_size=batch_size, lr=lr,
-                loss="mse", seed=args.seed,
-            ),
-            removal=removal,
-            max_subset_size=args.max_subset_size,
-            max_training_samples=args.max_training_samples,
-            rng=rng,
-        )
-    elif args.task == "predicate":
-        from .core import PredicateCardinalitySuite
-
-        structure = PredicateCardinalitySuite.build(
-            collection,
-            model_config=model_config,
-            train_config=TrainConfig(
-                epochs=args.epochs, batch_size=batch_size, lr=lr,
-                loss="mse", seed=args.seed,
-            ),
-            removal=removal,
-            max_subset_size=args.max_subset_size,
-            num_samples=args.max_training_samples,
-            rng=rng,
-        )
-    elif args.task == "index":
-        structure = LearnedSetIndex.build(
-            collection,
-            model_config=model_config,
-            train_config=TrainConfig(
-                epochs=args.epochs, batch_size=batch_size, lr=lr,
-                loss="mse", seed=args.seed,
-            ),
-            removal=removal,
-            max_subset_size=args.max_subset_size,
-            max_training_samples=args.max_training_samples,
-            rng=rng,
-        )
-    else:
-        structure = LearnedBloomFilter.build(
-            collection,
-            model_config=model_config,
-            train_config=TrainConfig(
-                epochs=args.epochs, batch_size=batch_size, lr=lr,
-                loss="bce", seed=args.seed,
-            ),
-            max_subset_size=min(args.max_subset_size, 3),
-            max_positive_samples=args.max_training_samples,
-            num_negative_samples=args.max_training_samples // 2,
-            rng=rng,
-        )
     if args.guarded:
         structure = GUARD_FOR_TASK[args.task].for_collection(structure, collection)
     return structure
@@ -572,29 +531,13 @@ def _cmd_build(args) -> int:
 
     collection = SetCollection.load(args.collection)
     plan = ShardPlan.contiguous(collection, args.shards)
-    removal = None if args.task == "bloom" else OutlierRemovalConfig(
-        percentile=90.0, at_epochs=(max(args.epochs * 2 // 3, 1),)
-    )
-    builder = ShardedBuilder(
+    structure = ShardedBuilder(
         plan,
         workers=args.workers,
         base_seed=args.seed,
         guarded=args.guarded,
-        model_config=ModelConfig(
-            kind=args.kind, embedding_dim=args.embedding_dim, seed=args.seed
-        ),
-        train_config=TrainConfig(
-            epochs=args.epochs, batch_size=args.batch_size, lr=args.lr,
-            seed=args.seed,
-        ),
-        removal=removal,
-        max_subset_size=(
-            min(args.max_subset_size, 3) if args.task == "bloom"
-            else args.max_subset_size
-        ),
-        max_training_samples=args.max_training_samples,
-    )
-    structure = builder.build(args.task)
+        **_recipe_args(args),
+    ).build(args.task)
     with open(args.out, "wb") as handle:
         pickle.dump(structure, handle, protocol=pickle.HIGHEST_PROTOCOL)
     size_kb = args.out.stat().st_size / 1e3
@@ -724,40 +667,30 @@ def _make_refresher(args, server, structure, workload=None):
             args.adaptive_max_local_q_error if adaptive else None
         ),
     )
-    common = dict(
+    extras = {}
+    if adaptive:
+        from .adapt import ShardStalenessTracker, workload_shard_rebuilder
+
+        extras["workload"] = workload
+        inner = unwrap_structure(structure)
+        if getattr(inner, "plan", None) is not None:
+            extras["tracker"] = ShardStalenessTracker(
+                inner.plan.offsets(),
+                min_observations=args.adaptive_min_observations,
+            )
+            extras["shard_rebuild"] = workload_shard_rebuilder(
+                workload,
+                train_config=train_config,
+                base_seed=getattr(args, "seed", 0) or 0,
+            )
+    return BackgroundRefresher(
+        server,
+        rebuild,
         policy=policy,
         interval_s=args.refresh_interval,
         backoff_base_s=getattr(args, "refresh_backoff_base", 0.5),
         breaker_failures=getattr(args, "refresh_breaker_failures", 5),
-    )
-    if not adaptive:
-        return BackgroundRefresher(server, rebuild, **common).start()
-
-    from .adapt import (
-        AdaptiveRefresher,
-        ShardStalenessTracker,
-        workload_shard_rebuilder,
-    )
-
-    inner = unwrap_structure(structure)
-    tracker = None
-    shard_rebuild = None
-    if getattr(inner, "plan", None) is not None:
-        tracker = ShardStalenessTracker(
-            inner.plan.offsets(),
-            min_observations=args.adaptive_min_observations,
-        )
-        shard_rebuild = workload_shard_rebuilder(
-            workload,
-            train_config=train_config,
-            base_seed=getattr(args, "seed", 0) or 0,
-        )
-    return AdaptiveRefresher(
-        server, rebuild,
-        workload=workload,
-        tracker=tracker,
-        shard_rebuild=shard_rebuild,
-        **common,
+        **extras,
     ).start()
 
 

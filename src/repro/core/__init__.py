@@ -33,6 +33,7 @@ from .qerror import (
     q_error,
     q_error_percentile,
 )
+from .recipe import task_of, train_structure
 from .scaling import LogMinMaxScaler
 from .set_transformer import SetTransformerModel
 from .training import TrainConfig, Trainer, TrainingHistory
@@ -43,6 +44,8 @@ __all__ = [
     "LearnedBloomFilter",
     "MultiSetMembership",
     "PredicateCardinalitySuite",
+    "train_structure",
+    "task_of",
     "UpdateNotifier",
     "LookupStats",
     "DeepSetsModel",

@@ -19,10 +19,16 @@ to a freshly trained model.  :class:`BackgroundRefresher` watches one
    swap, which atomically installs the new generation and clears the
    query cache.
 
+Step 1 follows a refresh *plan* chosen from the trip reasons — ``full``,
+or ``shards[i...]``: retrain only the tripped parts and publish them
+through ``router.with_parts`` (:meth:`BackgroundRefresher._plan` has the
+rule).
+
 Every step is observable: ``repro_maintain_*`` metrics on the server's
-registry, a ``refresh`` span (with its trip reasons) in the server's
-tracer, and :meth:`status` for the ``REFRESH`` protocol verb /
-``repro refresh-status``.
+registry (``repro_adapt_*`` too once a workload is attached), a
+``refresh`` span (with its trip reasons) in the server's tracer, and
+:meth:`status` for the ``REFRESH`` protocol verb / ``repro
+refresh-status``.
 """
 
 from __future__ import annotations
@@ -31,17 +37,16 @@ import math
 import threading
 import time
 from collections import deque
+from contextlib import nullcontext
 from dataclasses import replace
 from typing import Any, Callable
 
-from ..core.cardinality import LearnedCardinalityEstimator
 from ..core.config import ModelConfig
-from ..core.index import LearnedSetIndex
-from ..core.membership import LearnedBloomFilter
+from ..core.recipe import task_of, train_structure
 from ..core.training import TrainConfig
 from ..reliability import GuardedEstimator, unwrap
 from .delta import DeltaBuffer
-from .policy import StalenessPolicy, StalenessState, aux_fraction_of
+from .policy import StalenessPolicy, StalenessState, aux_fraction_of, tripped_shards
 
 __all__ = [
     "BackgroundRefresher",
@@ -58,9 +63,8 @@ class RefreshError(RuntimeError):
     """A refresh attempt failed; the old generation keeps serving."""
 
 
-def unwrap_structure(structure: Any) -> Any:
-    """The raw (possibly sharded) structure behind a guarded facade."""
-    return unwrap(structure)
+#: The raw (possibly sharded) structure behind a guarded facade.
+unwrap_structure = unwrap
 
 
 def rewrap_like(old: Any, new_inner: Any) -> Any:
@@ -119,19 +123,6 @@ def mutate_through(server: Any, mutator: Callable[[Any], Any]) -> Any:
     raise RefreshError("mutation kept racing hot swaps; giving up after 8 tries")
 
 
-_ROUTER_TASKS = {
-    "ShardedCardinalityEstimator": "cardinality",
-    "ShardedSetIndex": "index",
-    "ShardedBloomFilter": "bloom",
-}
-
-_UNSHARDED_TASKS = {
-    LearnedCardinalityEstimator: "cardinality",
-    LearnedSetIndex: "index",
-    LearnedBloomFilter: "bloom",
-}
-
-
 def default_rebuilder(
     structure: Any,
     *,
@@ -147,12 +138,12 @@ def default_rebuilder(
 ) -> Callable[[Any], Any]:
     """A ``rebuild`` callable that retrains ``structure``'s inner model.
 
-    * sharded routers retrain per shard through
-      :class:`~repro.shard.ShardedBuilder` over the router's existing
-      plan (guarded parts stay guarded);
-    * unsharded structures retrain through their ``build`` classmethods —
-      the index carries its collection, the estimator and Bloom filter
-      need ``collection`` passed here.
+    The task comes from :func:`repro.core.task_of` and the training from
+    :func:`repro.core.train_structure`: sharded routers retrain per shard
+    through :class:`~repro.shard.ShardedBuilder` over the router's
+    existing plan (guarded parts stay guarded); unsharded structures
+    retrain directly — the index carries its collection, every other
+    structure needs ``collection`` passed here.
 
     Each rebuild uses seed ``base_seed + generation`` so successive
     refreshes explore fresh initializations rather than re-deriving the
@@ -167,70 +158,46 @@ def default_rebuilder(
             )
     model_config = model_config or ModelConfig()
     train_config = train_config or TrainConfig(epochs=6)
+    options = dict(
+        removal=removal,
+        max_subset_size=max_subset_size,
+        max_training_samples=max_training_samples,
+        num_negative_samples=num_negative_samples,
+    )
     state = {"generation": 0}
 
     def rebuild(current_inner: Any) -> Any:
         state["generation"] += 1
         seed = base_seed + state["generation"]
+        task = task_of(current_inner)
         parts = getattr(current_inner, "parts", None)
+        # A suite retrains the predicate family it already routes.
+        family = getattr(
+            unwrap_structure(parts[0] if parts else current_inner), "predicates", None
+        )
         if parts is not None:
             from ..shard import ShardedBuilder
 
-            task = _ROUTER_TASKS.get(type(current_inner).__name__)
-            if task is None:
-                raise RefreshError(
-                    f"unknown sharded router {type(current_inner).__name__}"
-                )
-            guarded_parts = any(isinstance(part, GuardedEstimator) for part in parts)
-            builder = ShardedBuilder(
+            return ShardedBuilder(
                 current_inner.plan,
                 workers=workers,
                 base_seed=seed,
-                guarded=guarded_parts,
+                guarded=any(isinstance(part, GuardedEstimator) for part in parts),
                 model_config=model_config,
                 train_config=train_config,
-                removal=removal,
-                max_subset_size=max_subset_size,
-                max_training_samples=max_training_samples,
-                num_negative_samples=num_negative_samples,
-            )
-            return builder.build(task)
-        task = _UNSHARDED_TASKS.get(type(current_inner))
-        if task is None:
-            raise RefreshError(
-                f"cannot rebuild a {type(current_inner).__name__}; pass a "
-                "custom rebuild callable"
-            )
+                predicates=family,
+                **options,
+            ).build(task)
         coll = getattr(current_inner, "collection", None)
         if coll is None:
             coll = collection
-        seeded_model = replace(model_config, seed=seed)
-        seeded_train = replace(train_config, seed=seed)
-        if task == "cardinality":
-            return LearnedCardinalityEstimator.build(
-                coll,
-                model_config=seeded_model,
-                train_config=seeded_train,
-                removal=removal,
-                max_subset_size=max_subset_size,
-                max_training_samples=max_training_samples,
-            )
-        if task == "index":
-            return LearnedSetIndex.build(
-                coll,
-                model_config=seeded_model,
-                train_config=seeded_train,
-                removal=removal,
-                max_subset_size=max_subset_size,
-                max_training_samples=max_training_samples,
-            )
-        return LearnedBloomFilter.build(
+        return train_structure(
+            task,
             coll,
-            model_config=seeded_model,
-            train_config=replace(seeded_train, loss="bce"),
-            max_subset_size=max_subset_size,
-            max_positive_samples=max_training_samples,
-            num_negative_samples=num_negative_samples,
+            replace(model_config, seed=seed),
+            replace(train_config, seed=seed),
+            predicates=family,
+            **options,
         )
 
     return rebuild
@@ -274,6 +241,27 @@ class BackgroundRefresher:
         after the cooldown runs *half-open* (one probe refresh) — success
         closes the breaker, failure re-opens it for another cooldown.
         Manual :meth:`refresh_now` calls bypass both mechanisms.
+    workload:
+        The :class:`~repro.adapt.WorkloadLog` the serving layer records
+        into.  Registered as ``server.workload`` when the server has none
+        (the serving hooks pick it up from there); attaching one also
+        registers the ``repro_adapt_*`` series and the ``adaptive`` keys
+        of :meth:`status` / :meth:`staleness_status`.
+    tracker:
+        Optional :class:`~repro.adapt.ShardStalenessTracker`.  When set
+        (and the served structure is sharded), every staleness
+        observation first runs :func:`~repro.adapt.probe_shard_errors`
+        over the most recent workload entries, then reports the tracker's
+        per-shard means as ``StalenessState.shard_q_errors``.
+    shard_rebuild:
+        ``shard_rebuild(router, shard_id) -> part``
+        (:func:`repro.adapt.workload_shard_rebuilder`).  Required for the
+        ``shards[i...]`` plan; without it every trip is a full rebuild.
+    exact:
+        Exact truth source for the tracker's probe; defaults to the
+        server's paired exact structure.
+    probe_entries:
+        How many recent workload entries each tracker probe scores.
     """
 
     def __init__(
@@ -288,6 +276,12 @@ class BackgroundRefresher:
         backoff_max_s: float = 60.0,
         breaker_failures: int = 5,
         breaker_cooldown_s: float = 60.0,
+        *,
+        workload: Any = None,
+        tracker: Any = None,
+        shard_rebuild: Callable[[Any, int], Any] | None = None,
+        exact: Any = None,
+        probe_entries: int = 64,
     ):
         if interval_s <= 0:
             raise ValueError("interval_s must be positive")
@@ -307,6 +301,11 @@ class BackgroundRefresher:
         self.backoff_max_s = float(backoff_max_s)
         self.breaker_failures = int(breaker_failures)
         self.breaker_cooldown_s = float(breaker_cooldown_s)
+        self.workload = workload
+        self.tracker = tracker
+        self.shard_rebuild = shard_rebuild
+        self.exact = exact if exact is not None else getattr(server, "_exact", None)
+        self.probe_entries = int(probe_entries)
         self._consecutive_failures = 0
         self._retry_at = 0.0  # monotonic instant policy refreshes resume
         self._breaker_tripped = False
@@ -329,8 +328,12 @@ class BackgroundRefresher:
         self.refreshes = 0
         self.failures = 0
         self.replayed = 0
+        self.partial_refreshes = 0
+        self.shards_rebuilt = 0
         self.delta.attach(unwrap_structure(server.structure))
         server.maintainer = self
+        if workload is not None and getattr(server, "workload", None) is None:
+            server.workload = workload
         self._register_metrics()
 
     # -- lifecycle ------------------------------------------------------------
@@ -390,11 +393,29 @@ class BackgroundRefresher:
                 self._last_probe = float(self.probe())
             except Exception:
                 self._last_probe = math.nan
-        return StalenessState(
+        state = StalenessState(
             pending_deltas=self.delta.pending_since(self._last_refresh_mark),
             aux_fraction=aux_fraction_of(self.server.structure),
             probe_q_error=self._last_probe,
         )
+        if self.tracker is not None:
+            from ..adapt.tracker import probe_shard_errors
+
+            inner = unwrap_structure(self.server.structure)
+            if (
+                self.workload is not None
+                and self.exact is not None
+                and getattr(inner, "parts", None) is not None
+            ):
+                probe_shard_errors(
+                    inner,
+                    self.exact,
+                    self.workload.recent(self.probe_entries),
+                    self.tracker,
+                    max_queries=self.probe_entries,
+                )
+            state.shard_q_errors = self.tracker.q_errors() or None
+        return state
 
     def check_now(self) -> bool:
         """Evaluate the policy once; refresh if it trips.  True on refresh.
@@ -456,22 +477,18 @@ class BackgroundRefresher:
     def refresh_now(self, reasons: list[str] | tuple[str, ...] = ("manual",)):
         """Retrain, replay deltas, rewrap, and hot-swap; returns the snapshot.
 
-        Raises :class:`RefreshError` on failure — the old generation keeps
-        serving and the failure is counted and recorded in :meth:`status`.
+        ``reasons`` select the refresh plan (:meth:`_plan`) once this call
+        holds the refresh lock, so one queued behind a running refresh
+        still runs the plan it was asked for.  Raises :class:`RefreshError`
+        on failure — the old generation keeps serving and the failure is
+        counted and recorded in :meth:`status`.
         """
         reasons = list(reasons)
         with self._refresh_lock:
             started = time.monotonic()
-            tracer = getattr(self.server, "tracer", None)
-            span_ctx = (
-                tracer.span("refresh", kind=self.server.kind,
-                            reasons=",".join(reasons))
-                if tracer is not None
-                else _null_span()
-            )
             try:
-                with span_ctx as span:
-                    snapshot = self._refresh(span)
+                with self._span("refresh", reasons=",".join(reasons)) as span:
+                    snapshot = self._refresh(reasons, span)
             except Exception as exc:
                 self._record_failure(exc)
                 self._record_refresh_failure()
@@ -487,21 +504,66 @@ class BackgroundRefresher:
             self._metric_refreshes.inc()
             return snapshot
 
-    def _refresh(self, span: dict):
+    def _span(self, name: str, **attrs):
+        """A traced span on the server's tracer (a bare dict without one)."""
+        tracer = getattr(self.server, "tracer", None)
+        if tracer is None:
+            return nullcontext({"attrs": {}})
+        return tracer.span(name, kind=self.server.kind, **attrs)
+
+    def _plan(self, reasons: list[str], inner: Any) -> list[int] | None:
+        """The refresh plan: shard ids to retrain, or ``None`` for full.
+
+        Targeted only when *every* reason is a per-shard one — a global
+        signal (deltas, aux fraction, probe drift) means the whole
+        structure drifted — naming a strict subset of a sharded
+        structure's parts, with a ``shard_rebuild`` to retrain them.
+        """
+        shard_ids = tripped_shards(reasons)
+        parts = getattr(inner, "parts", None)
+        targeted = (
+            bool(shard_ids)
+            and len(shard_ids) == len(reasons)
+            and parts is not None
+            and len(shard_ids) < len(parts)
+            and self.shard_rebuild is not None
+        )
+        return shard_ids if targeted else None
+
+    def _refresh(self, reasons: list[str], span: dict):
         old = self.server.structure
         old_inner = unwrap_structure(old)
         pre_mark = self.delta.mark()
-        new_inner = self.rebuild(old_inner)
-        return self._publish(old, old_inner, new_inner, pre_mark, span)
+        shard_ids = self._plan(reasons, old_inner)
+        if shard_ids is None:
+            new_inner = self.rebuild(old_inner)
+        else:
+            new_inner = old_inner.with_parts(
+                {
+                    shard_id: self.shard_rebuild(old_inner, shard_id)
+                    for shard_id in shard_ids
+                }
+            )
+        snapshot = self._publish(old, old_inner, new_inner, pre_mark, span)
+        if self.tracker is not None:
+            # The replaced parts' windows describe models that no longer
+            # serve (a full rebuild replaces every part).
+            stale = range(self.tracker.num_shards) if shard_ids is None else shard_ids
+            for shard_id in stale:
+                self.tracker.reset(shard_id)
+        if shard_ids is not None:
+            self.partial_refreshes += 1
+            self.shards_rebuilt += len(shard_ids)
+            if self.workload is not None:
+                self._metric_partial.inc()
+                self._metric_shards.inc(len(shard_ids))
+            span["attrs"]["targeted_shards"] = ",".join(map(str, shard_ids))
+        return snapshot
 
     def _publish(self, old: Any, old_inner: Any, new_inner: Any,
                  pre_mark: int, span: dict):
-        """Refreeze, rewrap, replay, and hot-swap a rebuilt inner structure.
-
-        Shared by the full-rebuild path above and the targeted per-shard
-        path (:class:`repro.adapt.AdaptiveRefresher`), which assembles
-        ``new_inner`` from a mix of fresh and reused shard parts.
-        """
+        """Refreeze, rewrap, replay, and hot-swap a rebuilt inner structure
+        (either plan's: fully fresh, or a mix of fresh and reused parts)."""
         self._refreeze(old_inner, new_inner, span)
         new = rewrap_like(old, new_inner)
         # Replay the full mutation history: a rebuild retrains from the
@@ -540,13 +602,7 @@ class BackgroundRefresher:
 
         started = time.monotonic()
         try:
-            tracer = getattr(self.server, "tracer", None)
-            ctx = (
-                tracer.span("refreeze", kind=self.server.kind)
-                if tracer is not None
-                else _null_span()
-            )
-            with ctx:
+            with self._span("refreeze"):
                 report = refreeze_like(old_inner, new_inner)
         except Exception as exc:
             self._last_error = f"refreeze failed: {type(exc).__name__}: {exc}"
@@ -628,10 +684,55 @@ class BackgroundRefresher:
             "1 while the background check loop is alive",
             lambda: 1.0 if self.running else 0.0,
         )
+        if self.workload is None:
+            return
+        self._metric_partial = registry.counter(
+            "repro_adapt_partial_refreshes_total",
+            "Targeted refreshes that rebuilt only tripped shards",
+        )
+        self._metric_shards = registry.counter(
+            "repro_adapt_shards_rebuilt_total",
+            "Individual shard parts rebuilt by targeted refreshes",
+        )
+        registry.gauge_function(
+            "repro_adapt_workload_keys",
+            "Distinct (predicate, query) keys currently in the workload log",
+            lambda: float(len(self.workload)),
+        )
+        registry.gauge_function(
+            "repro_adapt_workload_records_total",
+            "Queries recorded into the workload log over its lifetime",
+            lambda: float(self.workload.total_records),
+        )
+        registry.gauge_function(
+            "repro_adapt_workload_evictions_total",
+            "Workload-log entries evicted by the capacity bound",
+            lambda: float(self.workload.evictions),
+        )
+        registry.gauge_function(
+            "repro_adapt_observed_q_error",
+            "Mean q-error observed against exact truth (NaN before any "
+            "sampled observation)",
+            self.workload.mean_observed_q_error,
+        )
+        registry.gauge_function(
+            "repro_adapt_tripped_shards",
+            "Shards whose windowed local q-error currently exceeds the "
+            "policy threshold",
+            self._count_tripped,
+        )
+
+    def _count_tripped(self) -> float:
+        if self.tracker is None or self.policy.max_local_q_error is None:
+            return 0.0
+        threshold = self.policy.max_local_q_error
+        return float(
+            sum(1 for value in self.tracker.q_errors().values() if value > threshold)
+        )
 
     def status(self) -> dict:
         """Full maintainer state (the ``REFRESH`` verb's JSON body)."""
-        return {
+        status = {
             "auto_refresh": True,
             "running": self.running,
             "kind": self.server.kind,
@@ -655,13 +756,24 @@ class BackgroundRefresher:
             "delta": self.delta.as_dict(),
             "snapshot_version": self.server.snapshot.version,
         }
+        if self.workload is not None:
+            status["adaptive"] = True
+            status["partial_refreshes"] = self.partial_refreshes
+            status["shards_rebuilt"] = self.shards_rebuilt
+        return status
 
-
-class _null_span:
-    """Stand-in context manager when the server has no tracer."""
-
-    def __enter__(self) -> dict:
-        return {"attrs": {}}
-
-    def __exit__(self, *exc_info) -> None:
-        return None
+    def staleness_status(self) -> dict:
+        """The ``STALENESS`` verb's JSON body."""
+        if self.workload is None:
+            return {"adaptive": False}
+        state = self.collect_state()
+        return {
+            "adaptive": True,
+            "policy": self.policy.as_dict(),
+            "state": state.as_dict(),
+            "tripped": self.policy.evaluate(state),
+            "workload": self.workload.as_dict(),
+            "tracker": self.tracker.as_dict() if self.tracker else None,
+            "partial_refreshes": self.partial_refreshes,
+            "shards_rebuilt": self.shards_rebuilt,
+        }

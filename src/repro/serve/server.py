@@ -29,23 +29,13 @@ import time
 from concurrent.futures import Future
 from typing import Any, Iterable, Sequence
 
-from ..core import (
-    LearnedBloomFilter,
-    LearnedCardinalityEstimator,
-    LearnedSetIndex,
-    PredicateCardinalitySuite,
-)
+from ..core import task_of
 from ..core.qerror import q_error
 from ..infer.freeze import _raw_parts
 from ..obs.trace import Tracer, get_tracer
 from ..reliability import unwrap
 from ..sets.inverted import InvertedIndex
 from ..sets.predicates import SUBSET, Predicate, as_predicate
-from ..shard import (
-    ShardedBloomFilter,
-    ShardedCardinalityEstimator,
-    ShardedSetIndex,
-)
 from .batcher import BatchPolicy, MicroBatcher
 from .cache import QueryCache
 from .snapshot import Snapshot, SnapshotHolder
@@ -60,28 +50,12 @@ __all__ = [
     "supports_predicates",
 ]
 
-_KIND_TYPES = {
-    "cardinality": (
-        LearnedCardinalityEstimator,
-        ShardedCardinalityEstimator,
-        PredicateCardinalitySuite,
-    ),
-    "index": (LearnedSetIndex, ShardedSetIndex),
-    "bloom": (LearnedBloomFilter, ShardedBloomFilter),
-}
-
-
 def detect_kind(structure: Any) -> str:
     """Task kind (``cardinality`` / ``index`` / ``bloom``) of a structure
-    (a guarded facade has the kind of the structure it wraps)."""
-    inner = unwrap(structure)
-    for kind, types in _KIND_TYPES.items():
-        if isinstance(inner, types):
-            return kind
-    raise TypeError(
-        f"cannot serve {type(structure).__name__}; expected one of the "
-        "learned structures or their guarded facades"
-    )
+    (a guarded facade has the kind of the structure it wraps; the
+    predicate suite answers on the cardinality surface)."""
+    task = task_of(structure)
+    return "cardinality" if task == "predicate" else task
 
 
 def _backup_filter(structure: Any):

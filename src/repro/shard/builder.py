@@ -23,17 +23,11 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from typing import Any, Sequence
 
-import numpy as np
-
-from ..core.cardinality import LearnedCardinalityEstimator
 from ..core.config import ModelConfig
 from ..core.hybrid import OutlierRemovalConfig
-from ..core.index import LearnedSetIndex
-from ..core.membership import LearnedBloomFilter
-from ..core.predicate_suite import PredicateCardinalitySuite
+from ..core.recipe import train_structure
 from ..core.training import TrainConfig
 from ..reliability import GUARD_FOR_TASK
-from ..sets.predicates import DEFAULT_PREDICATES
 from .plan import Shard, ShardPlan
 from .routers import (
     ShardedBloomFilter,
@@ -67,51 +61,7 @@ def _dispatch_build(
     options: dict[str, Any],
 ):
     """Train one shard's structure (runs inside the worker process)."""
-    rng = np.random.default_rng(train_config.seed)
-    if task == "cardinality":
-        return LearnedCardinalityEstimator.build(
-            shard.collection,
-            model_config=model_config,
-            train_config=train_config,
-            removal=options.get("removal"),
-            max_subset_size=options.get("max_subset_size", 4),
-            max_training_samples=options.get("max_training_samples"),
-            rng=rng,
-        )
-    if task == "index":
-        return LearnedSetIndex.build(
-            shard.collection,
-            model_config=model_config,
-            train_config=train_config,
-            removal=options.get("removal"),
-            max_subset_size=options.get("max_subset_size", 4),
-            max_training_samples=options.get("max_training_samples"),
-            error_range_length=options.get("error_range_length", 100),
-            rng=rng,
-        )
-    if task == "bloom":
-        return LearnedBloomFilter.build(
-            shard.collection,
-            model_config=model_config,
-            train_config=train_config,
-            max_subset_size=options.get("max_subset_size", 4),
-            max_positive_samples=options.get("max_training_samples"),
-            num_negative_samples=options.get("num_negative_samples"),
-            threshold=options.get("threshold", 0.5),
-            rng=rng,
-        )
-    if task == "predicate":
-        return PredicateCardinalitySuite.build(
-            shard.collection,
-            predicates=options.get("predicates") or DEFAULT_PREDICATES,
-            model_config=model_config,
-            train_config=train_config,
-            removal=options.get("removal"),
-            num_samples=options.get("max_training_samples") or 512,
-            max_subset_size=options.get("max_subset_size", 4),
-            rng=rng,
-        )
-    raise ValueError(f"unknown task {task!r}; expected one of {TASKS}")
+    return train_structure(task, shard.collection, model_config, train_config, **options)
 
 
 def _train_shard(job) -> tuple[int, Any, str | None]:
@@ -185,14 +135,15 @@ class ShardedBuilder:
     # -- training --------------------------------------------------------------
 
     def _jobs(self, task: str):
-        loss = "bce" if task == "bloom" else "mse"
         for shard in self.plan:
             seed = self.base_seed + shard.shard_id
             yield (
                 task,
                 shard,
                 _seeded(self.model_config, seed),
-                replace(self.train_config, seed=seed, loss=loss),
+                # Shard parts regress with plain MSE whatever the template
+                # says (the recipe switches the membership task to BCE).
+                replace(self.train_config, seed=seed, loss="mse"),
                 self._options,
             )
 

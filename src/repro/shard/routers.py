@@ -188,6 +188,8 @@ class ShardedCardinalityEstimator(_ShardedBase):
     The empty query is answered exactly (every stored set contains it).
     """
 
+    kind = "cardinality"
+
     def __init__(self, plan: ShardPlan, parts: Sequence[Any]):
         super().__init__(plan, parts)
         self.auxiliary: dict[tuple[int, ...], int] = {}
@@ -323,6 +325,8 @@ class ShardedSetIndex(_ShardedBase):
     not leak a later shard's position as the global minimum).
     """
 
+    kind = "index"
+
     def __init__(self, plan: ShardPlan, parts: Sequence[Any]):
         super().__init__(plan, parts)
         self.auxiliary: dict[tuple[int, ...], int] = {}
@@ -436,6 +440,8 @@ class ShardedBloomFilter(_ShardedBase):
     indexed universe — so the OR admits no false negatives globally.
     False positives remain one-sided, as for any Bloom filter.
     """
+
+    kind = "bloom"
 
     def __init__(self, plan: ShardPlan, parts: Sequence[Any]):
         super().__init__(plan, parts)

@@ -29,6 +29,8 @@ from __future__ import annotations
 
 import os
 import pickle
+import threading
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -406,4 +408,48 @@ class TestTargetedDispatch:
                 f"the whole structure drifted; full={full} rebuilt={rebuilt}"
             )
         finally:
+            server.close()
+
+    def test_queued_refreshes_run_the_plan_they_were_asked_for(self):
+        """The plan is chosen from each call's own reasons, under the lock:
+        calls that queue behind a running targeted refresh keep theirs."""
+        server, refresher, rebuilt, full, tracker = self._serve()
+        inside, release = threading.Event(), threading.Event()
+        plain_rebuild = refresher.shard_rebuild
+
+        def gated_rebuild(router_, shard_id):
+            if shard_id == 0:
+                inside.set()
+                assert release.wait(10.0)
+            return plain_rebuild(router_, shard_id)
+
+        refresher.shard_rebuild = gated_rebuild
+        calls = [
+            threading.Thread(target=refresher.refresh_now, args=(reasons,))
+            for reasons in (
+                ["local_q_error:shard0"],
+                ["local_q_error:shard2"],
+                ("manual",),
+            )
+        ]
+        try:
+            calls[0].start()
+            assert inside.wait(10.0), "first refresh never reached shard_rebuild"
+            calls[1].start()
+            calls[2].start()
+            time.sleep(0.05)  # let both block on the refresh lock
+            release.set()
+            for call in calls:
+                call.join(10.0)
+                assert not call.is_alive()
+            assert refresher.partial_refreshes == 2, (
+                f"seed={SEED}: both per-shard calls must run targeted, "
+                f"got {refresher.partial_refreshes} (full ran {len(full)}x)"
+            )
+            assert sorted(rebuilt) == [0, 2]
+            assert full == [1], (
+                f"seed={SEED}: exactly the manual call runs the full rebuild"
+            )
+        finally:
+            release.set()
             server.close()

@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.adapt import AdaptiveRefresher, WorkloadLog, workload_shard_rebuilder
 from repro.maintain import (
     BackgroundRefresher,
     RefreshError,
@@ -15,7 +16,11 @@ from repro.maintain import (
     mutate_through,
 )
 from repro.core import PredicateCardinalitySuite
-from repro.reliability import GuardedCardinalityEstimator, GuardedPredicateSuite
+from repro.reliability import (
+    GuardedCardinalityEstimator,
+    GuardedPredicateSuite,
+    unwrap,
+)
 from repro.serve import SetServer
 
 from tests.serve.conftest import wait_until
@@ -128,7 +133,7 @@ class TestManualRefresh:
                 max_subset_size=3,
             )
         else:
-            # default_rebuilder has no suite path; a custom callable does.
+            # A custom callable (TestDefaultRebuilder covers the default one).
             def retrain(_suite):
                 return PredicateCardinalitySuite.build(
                     collection,
@@ -312,10 +317,44 @@ class TestDefaultRebuilder:
         assert refresher.refreshes == 2
         assert server.snapshot.version >= 2
 
+    def test_unsharded_suite_is_rebuilt_as_a_suite(self, collection):
+        suite = PredicateCardinalitySuite.build(
+            collection,
+            model_config=small_model_config(4),
+            train_config=small_train_config(4),
+            num_samples=60,
+            max_subset_size=3,
+        )
+        server = SetServer(suite, cache_size=16).start()
+        refresher = BackgroundRefresher(
+            server,
+            default_rebuilder(
+                suite,
+                collection=collection,
+                model_config=small_model_config(),
+                train_config=small_train_config(),
+                max_subset_size=3,
+                max_training_samples=60,
+            ),
+        )
+        try:
+            assert np.isfinite(server.query((1, 2), predicate="superset"))
+            refresher.refresh_now()
+            new = server.structure
+            assert new is not suite
+            assert type(new) is PredicateCardinalitySuite
+            assert new.predicates == suite.predicates
+            assert np.isfinite(server.query((1, 2), predicate="superset"))
+        finally:
+            refresher.close()
+            refresher.delta.detach_all()
+            server.maintainer = None
+            server.close()
+
 
 class TestShardedRefresh:
-    @pytest.fixture(scope="class")
-    def sharded_setup(self):
+    @pytest.fixture(scope="class", params=["index", "predicate"])
+    def sharded_setup(self, request):
         from repro.sets import SetCollection
         from repro.shard import ShardedBuilder, ShardPlan
 
@@ -336,33 +375,79 @@ class TestShardedRefresh:
             train_config=small_train_config(epochs=1),
             max_subset_size=3,
             num_negative_samples=50,
-        ).build("index")
+        ).build(request.param)
         return collection, router
+
+    REBUILD_OPTIONS = dict(
+        model_config=small_model_config(),
+        train_config=small_train_config(epochs=1),
+        max_subset_size=3,
+        num_negative_samples=50,
+    )
+
+    @staticmethod
+    def _assert_same_family(new, router):
+        """A refresh publishes parts of the task it replaced: a predicate
+        router keeps answering the whole family."""
+        assert [type(unwrap(part)) for part in new.parts] == [
+            type(unwrap(part)) for part in router.parts
+        ]
+        if getattr(router, "supports_predicates", False):
+            assert new.supports_predicates
 
     def test_sharded_router_is_rebuilt_per_shard_and_replayed(self, sharded_setup):
         _collection, router = sharded_setup
         server = SetServer(router, cache_size=32).start()
         refresher = BackgroundRefresher(
-            server,
-            default_rebuilder(
-                router,
-                model_config=small_model_config(),
-                train_config=small_train_config(epochs=1),
-                max_subset_size=3,
-                num_negative_samples=50,
-            ),
+            server, default_rebuilder(router, **self.REBUILD_OPTIONS)
         )
+        predicates = getattr(router, "supports_predicates", False)
         try:
-            server.structure.insert_update((5, 7), 3)
+            if predicates:
+                assert np.isfinite(server.query((5, 7), predicate="superset"))
+                server.structure.record_update((5, 7), 3)
+            else:
+                server.structure.insert_update((5, 7), 3)
             refresher.refresh_now()
             new = server.structure
             assert new is not router
             assert type(new) is type(router)
             assert new.plan is router.plan
             assert len(new.parts) == len(router.parts)
+            self._assert_same_family(new, router)
             # The router-level override survived the per-shard retrain.
             assert server.query((5, 7)) == 3
             assert refresher.replayed >= 1
+            if predicates:
+                assert np.isfinite(server.query((5, 7), predicate="superset"))
+        finally:
+            refresher.close()
+            refresher.delta.detach_all()
+            server.maintainer = None
+            server.close()
+
+    def test_targeted_rebuild_replaces_one_part_of_the_same_family(
+        self, sharded_setup
+    ):
+        _collection, router = sharded_setup
+        server = SetServer(router, cache_size=32).start()
+        log = WorkloadLog(capacity=8)
+        refresher = AdaptiveRefresher(
+            server,
+            default_rebuilder(router, **self.REBUILD_OPTIONS),
+            workload=log,
+            shard_rebuild=workload_shard_rebuilder(log, **self.REBUILD_OPTIONS),
+        )
+        try:
+            refresher.refresh_now(["local_q_error:shard1"])
+            new = server.structure
+            assert refresher.partial_refreshes == 1
+            assert new.parts[0] is router.parts[0]
+            assert new.parts[1] is not router.parts[1]
+            assert new.parts[2] is router.parts[2]
+            self._assert_same_family(new, router)
+            if getattr(router, "supports_predicates", False):
+                assert np.isfinite(server.query((5, 7), predicate="superset"))
         finally:
             refresher.close()
             refresher.delta.detach_all()

@@ -21,6 +21,10 @@ SUBPACKAGES = (
     "repro.infer",
     "repro.scenario",
     "repro.bench",
+    "repro.maintain",
+    "repro.adapt",
+    "repro.shard",
+    "repro.reliability",
 )
 
 

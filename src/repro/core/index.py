@@ -8,7 +8,9 @@ model produces large errors; the production configuration is the hybrid:
 2. per-range **local error bounds** (Algorithm 2) confine the sequential
    search around the predicted position;
 3. the search scans ``[est - e_r, est + e_r]`` left to right and returns
-   the first set containing the query.
+   the first set containing the query; a 64-bit signature per stored set
+   (:meth:`SetCollection.signatures`) masks the window in one numpy step so
+   only sets that may contain the query are verified.
 
 For subsets seen during training this is exact: either the auxiliary holds
 them, or their true position is within the recorded bound of their
@@ -273,24 +275,35 @@ class LearnedSetIndex(UpdateNotifier):
                 )
         return results
 
+    def _window(self, estimate: float) -> tuple[int, int, float] | None:
+        """Algorithm 2's search window ``(low, high, radius)`` around ``estimate``.
+
+        ``[low, high]`` is ``[est - e_r, est + e_r]`` rounded outward and
+        clipped to the collection.  A non-finite estimate (e.g. an injected
+        NaN) has no meaningful window and yields ``None``.
+        """
+        if not np.isfinite(estimate):
+            return None
+        radius = (
+            self.bounds.bound(estimate)
+            if self.use_local_errors
+            else self.bounds.global_error
+        )
+        low = max(int(np.floor(estimate - radius)), 0)
+        high = min(int(np.ceil(estimate + radius)), len(self.collection) - 1)
+        return low, high, radius
+
     def _search_from_estimate(
         self, canonical: tuple[int, ...], estimate: float, fallback_scan: bool
     ) -> int | None:
         """Window scan around ``estimate`` plus the optional full rescan.
 
-        A non-finite estimate (e.g. an injected NaN) has no meaningful
-        window; it degrades to the fallback scan (or a miss), never to an
-        ``IndexError``.
+        A non-finite estimate degrades to the fallback scan (or a miss),
+        never to an ``IndexError``.
         """
-        if np.isfinite(estimate):
-            radius = (
-                self.bounds.bound(estimate)
-                if self.use_local_errors
-                else self.bounds.global_error
-            )
-            low = max(int(np.floor(estimate - radius)), 0)
-            high = min(int(np.ceil(estimate + radius)), len(self.collection) - 1)
-            found = self._scan(canonical, low, high)
+        window = self._window(estimate)
+        if window is not None:
+            found = self._scan(canonical, window[0], window[1])
             if found is not None:
                 return found
         if fallback_scan:
@@ -301,37 +314,57 @@ class LearnedSetIndex(UpdateNotifier):
         return None
 
     def _scan(self, query: tuple[int, ...], low: int, high: int) -> int | None:
-        """Left-to-right subset scan over ``collection[low..high]``."""
+        """First position in ``collection[low..high]`` whose set contains ``query``.
+
+        A signature mask over the window keeps only the sets that *may*
+        contain the query; those are verified left to right.  Telemetry
+        counts what the sequential scan would have read: ``offset + 1`` on
+        a hit, the window length on a miss.
+        """
+        if high < low:
+            return None
+        qsig = SetCollection.signature(query)
+        window = self.collection.signatures()[low : high + 1]
         q = frozenset(query)
         sets = self.collection.sets()
-        for position in range(low, high + 1):
-            self.stats.sets_scanned += 1
-            if q.issubset(sets[position]):
-                return position
+        for offset in np.flatnonzero((window & qsig) == qsig).tolist():
+            if q.issubset(sets[low + offset]):
+                self.stats.sets_scanned += offset + 1
+                return low + offset
+        self.stats.sets_scanned += high - low + 1
+        return None
+
+    def _scan_equal(
+        self, canonical: tuple[int, ...], low: int, high: int
+    ) -> int | None:
+        """First position in ``collection[low..high]`` equal to ``canonical``."""
+        if high < low:
+            return None
+        window = self.collection.signatures()[low : high + 1]
+        sets = self.collection.sets()
+        candidates = np.flatnonzero(window == SetCollection.signature(canonical))
+        for offset in candidates.tolist():
+            if sets[low + offset] == canonical:
+                return low + offset
         return None
 
     def lookup_equal(self, query: Iterable[int], fallback_scan: bool = True) -> int | None:
-        """First position whose stored set *equals* ``query`` (equality mode)."""
+        """First position whose stored set *equals* ``query`` (equality mode).
+
+        Degrades like :meth:`lookup`: a non-finite estimate skips the window
+        and goes straight to the fallback scan (or a miss).
+        """
         canonical = tuple(sorted(set(query)))
         exact = self.auxiliary.get(canonical)
         if exact is not None and self.collection[exact] == canonical:
             return exact
-        estimate = self.predict_position(canonical)
-        radius = (
-            self.bounds.bound(estimate)
-            if self.use_local_errors
-            else self.bounds.global_error
-        )
-        low = max(int(np.floor(estimate - radius)), 0)
-        high = min(int(np.ceil(estimate + radius)), len(self.collection) - 1)
-        sets = self.collection.sets()
-        for position in range(low, high + 1):
-            if sets[position] == canonical:
-                return position
+        window = self._window(self.predict_position(canonical))
+        if window is not None:
+            found = self._scan_equal(canonical, window[0], window[1])
+            if found is not None:
+                return found
         if fallback_scan:
-            for position in range(len(sets)):
-                if sets[position] == canonical:
-                    return position
+            return self._scan_equal(canonical, 0, len(self.collection) - 1)
         return None
 
     # -- updates (paper §7.2) ---------------------------------------------------
@@ -340,19 +373,16 @@ class LearnedSetIndex(UpdateNotifier):
         """Record a post-training position change.
 
         If the new position still falls inside the query-time search window
-        nothing needs storing; otherwise the subset joins the auxiliary
+        nothing needs storing; otherwise — or when the estimate is
+        non-finite and there is no window — the subset joins the auxiliary
         structure, which is consulted before the model (§7.2).  After many
         updates the structure degenerates towards a traditional index —
         callers should rebuild when ``auxiliary_fraction`` grows large.
         """
         canonical = tuple(sorted(set(subset)))
         estimate = self.predict_position(canonical)
-        radius = (
-            self.bounds.bound(estimate)
-            if self.use_local_errors
-            else self.bounds.global_error
-        )
-        if abs(estimate - new_position) > radius:
+        window = self._window(estimate)
+        if window is None or abs(estimate - new_position) > window[2]:
             self.auxiliary[canonical] = int(new_position)
         self._notify_update(canonical)
 

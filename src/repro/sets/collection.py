@@ -10,6 +10,7 @@ sorted order is an internal canonical form only — models never rely on it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -89,6 +90,45 @@ class SetCollection:
     def sets(self) -> Sequence[tuple[int, ...]]:
         """The underlying list (do not mutate)."""
         return self._sets
+
+    # -- 64-bit set signatures -------------------------------------------------
+
+    @staticmethod
+    def signature(elements: Iterable[int]) -> np.uint64:
+        """Bit ``e & 63`` set for every element ``e``.
+
+        ``A ⊆ B`` implies ``signature(A) & ~signature(B) == 0``, so a
+        signature mismatch proves a set cannot contain (or equal) a query.
+        """
+        bits = 0
+        for element in elements:
+            bits |= 1 << (int(element) & 63)
+        return np.uint64(bits)
+
+    def signatures(self) -> np.ndarray:
+        """One ``uint64`` :meth:`signature` per stored set, in order.
+
+        Computed on first use and cached; a read-only summary of the data
+        (8 B per set) that is left out of the pickled state.
+        """
+        cached = getattr(self, "_signatures", None)
+        if cached is None:
+            sizes = np.fromiter(map(len, self._sets), np.int64, len(self._sets))
+            flat = np.fromiter(
+                chain.from_iterable(self._sets), np.int64, int(sizes.sum())
+            )
+            bits = np.left_shift(np.uint64(1), (flat & 63).astype(np.uint64))
+            # Sets are non-empty, so every reduceat segment is too.
+            starts = np.cumsum(sizes) - sizes
+            cached = np.bitwise_or.reduceat(bits, starts) if len(starts) else bits
+            cached.flags.writeable = False
+            self._signatures = cached
+        return cached
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("_signatures", None)
+        return state
 
     # -- element facts ---------------------------------------------------------
 

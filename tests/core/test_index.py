@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core import LearnedSetIndex, ModelConfig, TrainConfig
+from repro.reliability import ALWAYS, FaultInjector
 from repro.sets import index_training_pairs, sample_query_workload
 
 
@@ -144,3 +145,31 @@ class TestMemoryAccounting:
 
     def test_error_bytes_positive(self, trained_index):
         assert trained_index.error_bytes() > 0
+
+
+@pytest.mark.faults
+class TestNonFiniteEstimate:
+    """A NaN position estimate has no search window: lookups degrade to the
+    fallback scan and updates land in the auxiliary (§7.2's safe side)."""
+
+    def test_lookup_equal_degrades_to_fallback_scan(
+        self, trained_index, small_collection
+    ):
+        stored = small_collection[10]
+        expected = trained_index.lookup_equal(stored)
+        with FaultInjector(nan_predictions=ALWAYS):
+            assert trained_index.lookup_equal(stored) == expected
+            assert trained_index.lookup_equal(stored, fallback_scan=False) is None
+            assert trained_index.lookup(stored) == trained_index.lookup_with_estimate(
+                stored, float("nan")
+            )
+
+    def test_insert_update_stores_position_in_auxiliary(self, trained_index):
+        query = (0,)
+        position = int(round(trained_index.predict_position(query)))
+        with FaultInjector(nan_predictions=ALWAYS):
+            trained_index.insert_update(query, position)
+        try:
+            assert trained_index.auxiliary[query] == position
+        finally:
+            del trained_index.auxiliary[query]  # restore shared fixture

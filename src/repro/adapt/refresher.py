@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 from functools import partial
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
 import numpy as np
 
@@ -30,10 +30,36 @@ from ..core.training import TrainConfig
 from ..maintain.refresher import rewrap_like, unwrap_structure
 from ..sets.inverted import InvertedIndex
 from ..sets.subsets import cardinality_training_pairs, index_training_pairs
-from .sampler import _clean_observed
 from .workload import WorkloadEntry, WorkloadLog
 
 __all__ = ["workload_shard_rebuilder"]
+
+
+def _clean_observed(
+    entries: Iterable[WorkloadEntry],
+    spec: str,
+    max_element_id: int,
+) -> list[WorkloadEntry]:
+    """Observed entries that are usable as training samples.
+
+    Drops other predicates' entries, the empty query (it has no model
+    path: the serving layer answers it exactly), and queries containing
+    elements outside the trained universe (the model cannot embed them;
+    the guarded facades answer them through the exact fallback anyway).
+    Canonical keys are unique per spec by construction, so no dedup pass
+    is needed beyond the key set itself.  This is the one hygiene filter
+    between recorded traffic and a refresh training set.
+    """
+    cleaned: list[WorkloadEntry] = []
+    for entry in entries:
+        if entry.spec != spec:
+            continue
+        if not entry.canonical:
+            continue
+        if entry.canonical[0] < 0 or entry.canonical[-1] > max_element_id:
+            continue
+        cleaned.append(entry)
+    return cleaned
 
 
 def _merge_observed(

@@ -6,8 +6,8 @@ query)`` key with a frequency count, plus — on a sampled basis — the
 q-error actually observed against the paired exact structure.  The log is
 the ground truth for
 
-* :func:`repro.adapt.sample_from_workload` — frequency-weighted refresh
-  training sets;
+* :func:`repro.adapt.workload_shard_rebuilder` — frequency-weighted
+  refresh training sets;
 * :func:`repro.adapt.probe_shard_errors` — attributing observed error to
   individual shards (Algorithm 2's local bounds over shard offsets).
 

@@ -9,9 +9,6 @@ from .reporting import (
     report_table,
     results_dir,
 )
-from .serving import run_serving_benchmark, serving_workload, write_serving_report
-from .serving_mp import run_mp_serving_benchmark, write_mp_serving_report
-from .sharding import run_shard_benchmark, write_shard_report
 from .timing import Timer, mean_query_ms
 from .workbench import (
     MAX_SUBSET_SIZE,
@@ -40,13 +37,6 @@ __all__ = [
     "results_dir",
     "Timer",
     "mean_query_ms",
-    "run_serving_benchmark",
-    "run_mp_serving_benchmark",
-    "serving_workload",
-    "write_serving_report",
-    "write_mp_serving_report",
-    "run_shard_benchmark",
-    "write_shard_report",
     "MAX_SUBSET_SIZE",
     "MAX_TRAINING_SAMPLES",
     "get_collection",

@@ -13,7 +13,6 @@ Usage (installed as the ``repro`` console script, or
     repro train bloom sets.txt bf.pkl
     repro train predicate sets.txt suite.pkl   # one estimator per predicate
     repro build index sets.txt idx.pkl --shards 4 --workers 4
-    repro bench-shard --dataset rw-small --shards 4
     repro estimate est.pkl 3 17 42             # cardinality of {3, 17, 42}
     repro estimate suite.pkl 3 17 --predicate "overlap>=2"
     repro estimate suite.pkl 3 17 --predicate superset
@@ -22,18 +21,18 @@ Usage (installed as the ``repro`` console script, or
     repro serve est.pkl --port 7007            # concurrent TCP query serving
     repro serve idx.pkl --auto-refresh         # + background staleness repair
     repro serve est.pkl --workers 4            # multi-process worker pool
-    repro bench-serve --workers 2              # pool-vs-threaded benchmark
     repro refresh-status --connect 127.0.0.1:7007   # maintenance status JSON
     repro stats --connect 127.0.0.1:7007       # live server telemetry (JSON)
     repro stats --connect 127.0.0.1:7007 --metrics   # Prometheus exposition
     repro trace-dump --connect 127.0.0.1:7007  # recent query-path spans
-    repro bench-serve --dataset rw-small       # serving-vs-serial loadgen
     repro scenario list                        # robustness scenario suite
     repro scenario run --all --seeds 3         # run + SLO-grade every scenario
     repro scenario run --fast                  # CI smoke subset, scaled down
     repro scenario trend                       # flag SLO-margin drift across runs
     repro freeze est.pkl                       # attach compiled inference plans
-    repro bench-infer --min-speedup 10         # frozen-plan vs autograd timing
+
+Performance is measured by the benchmark, ``python3 bench_spine/run.py``
+(see ``bench_spine/README.md``), not by a CLI verb.
 
 Trained structures are pickled whole (model + scaler + auxiliaries), which
 matches the paper's memory-measurement methodology.
@@ -167,7 +166,12 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--max-respawns", type=int, default=None,
                        help="per-worker crash-respawn budget (--workers "
                             "only; default unlimited)")
-    _add_serving_knobs(serve)
+    serve.add_argument("--max-batch-size", type=int, default=64)
+    serve.add_argument("--max-wait-ms", type=float, default=2.0)
+    serve.add_argument("--max-queue", type=int, default=1024)
+    serve.add_argument("--overflow", choices=("block", "reject", "shed-to-exact"),
+                       default="block")
+    serve.add_argument("--cache-size", type=int, default=4096)
     serve.add_argument(
         "--auto-refresh", action="store_true",
         help="watch staleness (delta count / aux fraction) and retrain + "
@@ -216,10 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--adaptive-min-observations", type=int, default=8,
                        help="observations a shard needs in its window "
                             "before its local q-error can trip")
-    serve.add_argument("--adaptive-novelty-fraction", type=float, default=0.25,
-                       help="fraction of adaptive training samples drawn "
-                            "from fresh perturbation sampling instead of "
-                            "the observed workload")
     serve.add_argument("--idle-timeout", type=float, default=300.0,
                        help="drop client connections idle this many seconds "
                             "(0 disables)")
@@ -239,56 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
                                 help="print the raw status JSON instead of "
                                      "the human summary")
 
-    bench = commands.add_parser(
-        "bench-serve",
-        help="load-generate against a SetServer and report QPS + latency",
-    )
-    bench.add_argument("--dataset", choices=sorted(DATASETS), default="rw-small")
-    bench.add_argument("--task", choices=("cardinality", "index", "bloom"),
-                       default="cardinality")
-    bench.add_argument("--num-queries", type=int, default=2000)
-    bench.add_argument("--threads", type=int, default=8)
-    bench.add_argument("--workers", type=int, default=0,
-                       help="also bench a worker pool of N processes "
-                            "(writes results/BENCH_serve_mp.json)")
-    bench.add_argument("--min-speedup", type=float, default=0.0,
-                       help="required pool-over-serial speedup with "
-                            "--workers (default 0.0: parity-only, since "
-                            "a 1-core host cannot show a throughput win)")
-    bench.add_argument("--epochs", type=int, default=10)
-    bench.add_argument("--max-subset-size", type=int, default=4)
-    bench.add_argument("--max-training-samples", type=int, default=20_000)
-    bench.add_argument("--guarded", action="store_true",
-                       help="serve through the reliability facade")
-    bench.add_argument("--scale", type=float, default=None,
-                       help="dataset size multiplier (default: REPRO_SCALE)")
-    bench.add_argument("--out", type=Path, default=None,
-                       help="report path (default: results/BENCH_serve.json)")
-    bench.add_argument("--seed", type=int, default=0)
-    _add_serving_knobs(bench)
-
-    bench_shard = commands.add_parser(
-        "bench-shard",
-        help="time parallel sharded builds vs one worker and verify results",
-    )
-    bench_shard.add_argument("--dataset", choices=sorted(DATASETS), default="rw-small")
-    bench_shard.add_argument("--task", choices=("cardinality", "index", "bloom"),
-                             default="cardinality")
-    bench_shard.add_argument("--shards", type=int, default=4)
-    bench_shard.add_argument("--workers", type=int, nargs="+", default=[1, 2, 4],
-                             help="worker counts to time (each builds the "
-                                  "same plan with the same seeds)")
-    bench_shard.add_argument("--num-queries", type=int, default=200)
-    bench_shard.add_argument("--epochs", type=int, default=6)
-    bench_shard.add_argument("--max-subset-size", type=int, default=3)
-    bench_shard.add_argument("--max-training-samples", type=int, default=4000)
-    bench_shard.add_argument("--scale", type=float, default=None,
-                             help="dataset size multiplier (default: REPRO_SCALE)")
-    bench_shard.add_argument("--out", type=Path, default=None,
-                             help="report path (default: results/BENCH_shard.json)")
-    bench_shard.add_argument("--seed", type=int, default=0)
-
-    scenario = commands.add_parser(
+    scenario =commands.add_parser(
         "scenario",
         help="run the declarative robustness scenario suite with SLO grading",
     )
@@ -356,36 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="override the decision-flip gate for quantized "
                              "variants (Bloom filters)")
 
-    bench_infer = commands.add_parser(
-        "bench-infer",
-        help="time frozen plans vs the autograd forward on all three "
-             "structures (writes results/BENCH_infer.json)",
-    )
-    bench_infer.add_argument("--batch-size", type=int, default=1024)
-    bench_infer.add_argument("--num-sets", type=int, default=400)
-    bench_infer.add_argument("--universe", type=int, default=500)
-    bench_infer.add_argument("--repeats", type=int, default=7)
-    bench_infer.add_argument("--epochs", type=int, default=3)
-    bench_infer.add_argument("--min-speedup", type=float, default=10.0,
-                             help="required float32 speedup over autograd "
-                                  "(CI smoke uses a relaxed bound)")
-    bench_infer.add_argument("--structures", nargs="+",
-                             default=["cardinality", "index", "bloom"],
-                             choices=("cardinality", "index", "bloom"))
-    bench_infer.add_argument("--no-json", action="store_true",
-                             help="skip writing results/BENCH_infer.json")
-    bench_infer.add_argument("--seed", type=int, default=0)
-
     return parser
-
-
-def _add_serving_knobs(sub) -> None:
-    sub.add_argument("--max-batch-size", type=int, default=64)
-    sub.add_argument("--max-wait-ms", type=float, default=2.0)
-    sub.add_argument("--max-queue", type=int, default=1024)
-    sub.add_argument("--overflow", choices=("block", "reject", "shed-to-exact"),
-                     default="block")
-    sub.add_argument("--cache-size", type=int, default=4096)
 
 
 def _cmd_datasets(_args) -> int:
@@ -475,19 +397,17 @@ def _cmd_trace_dump(args) -> int:
 
 def _recipe_args(args) -> dict:
     """``train_structure`` / ``ShardedBuilder`` arguments described by ``args``
-    (shared by train, build and bench-serve)."""
+    (shared by train and build)."""
     bloom = args.task == "bloom"
     hybrid = not bloom and not getattr(args, "no_hybrid", False)
     return dict(
         model_config=ModelConfig(
-            kind=getattr(args, "kind", "clsm"),
-            embedding_dim=getattr(args, "embedding_dim", 8),
-            seed=args.seed,
+            kind=args.kind, embedding_dim=args.embedding_dim, seed=args.seed
         ),
         train_config=TrainConfig(
             epochs=args.epochs,
-            batch_size=getattr(args, "batch_size", 1024),
-            lr=getattr(args, "lr", 5e-3),
+            batch_size=args.batch_size,
+            lr=args.lr,
             loss="mse",
             seed=args.seed,
         ),
@@ -499,8 +419,8 @@ def _recipe_args(args) -> dict:
     )
 
 
-def _build_structure(args, collection: SetCollection):
-    """Train the structure described by ``args`` (shared by train/bench-serve)."""
+def _cmd_train(args) -> int:
+    collection = SetCollection.load(args.collection)
     structure = train_structure(
         args.task,
         collection,
@@ -509,12 +429,6 @@ def _build_structure(args, collection: SetCollection):
     )
     if args.guarded:
         structure = GUARD_FOR_TASK[args.task].for_collection(structure, collection)
-    return structure
-
-
-def _cmd_train(args) -> int:
-    collection = SetCollection.load(args.collection)
-    structure = _build_structure(args, collection)
     with open(args.out, "wb") as handle:
         pickle.dump(structure, handle, protocol=pickle.HIGHEST_PROTOCOL)
     size_kb = args.out.stat().st_size / 1e3
@@ -623,17 +537,6 @@ def _cmd_contains(args) -> int:
     return 0
 
 
-def _batch_policy(args):
-    from .serve import BatchPolicy
-
-    return BatchPolicy(
-        max_batch_size=args.max_batch_size,
-        max_wait_ms=args.max_wait_ms,
-        max_queue=args.max_queue,
-        overflow=args.overflow,
-    )
-
-
 def _make_refresher(args, server, structure, workload=None):
     """Build and start the background refresher for ``repro serve``."""
     from .maintain import (
@@ -697,9 +600,21 @@ def _make_refresher(args, server, structure, workload=None):
 def _cmd_serve(args) -> int:
     import json
 
-    from .serve import AsyncTcpFrontend, SetServer, TcpServeFrontend, WorkerPool
+    from .serve import (
+        AsyncTcpFrontend,
+        BatchPolicy,
+        SetServer,
+        TcpServeFrontend,
+        WorkerPool,
+    )
 
     structure = _load_structure(args.structure)
+    policy = BatchPolicy(
+        max_batch_size=args.max_batch_size,
+        max_wait_ms=args.max_wait_ms,
+        max_queue=args.max_queue,
+        overflow=args.overflow,
+    )
     workload = None
     if args.adaptive:
         from .adapt import WorkloadLog
@@ -712,7 +627,7 @@ def _cmd_serve(args) -> int:
         backend = WorkerPool(
             structure,
             workers=args.workers,
-            policy=_batch_policy(args),
+            policy=policy,
             cache_size=args.cache_size,
             max_respawns=args.max_respawns,
             workload=workload,
@@ -720,7 +635,7 @@ def _cmd_serve(args) -> int:
         tier_note = f"{args.workers} worker processes, asyncio frontend"
     else:
         backend = SetServer(
-            structure, policy=_batch_policy(args), cache_size=args.cache_size,
+            structure, policy=policy, cache_size=args.cache_size,
             workload=workload,
         )
         tier_note = "threaded tier"
@@ -824,114 +739,6 @@ def _cmd_refresh_status(args) -> int:
     if status.get("last_error"):
         print(f"last error: {status['last_error']}")
     return 0
-
-
-def _cmd_bench_serve(args) -> int:
-    from .bench.serving import (
-        run_serving_benchmark,
-        serving_workload,
-        write_serving_report,
-    )
-
-    collection = load_dataset(args.dataset, scale=args.scale)
-    structure = _build_structure(args, collection)
-    queries = serving_workload(
-        collection,
-        args.num_queries,
-        max_subset_size=args.max_subset_size,
-        seed=args.seed + 1,
-    )
-    if args.workers > 0:
-        return _bench_serve_mp(args, structure, queries)
-    report = run_serving_benchmark(
-        structure,
-        queries,
-        threads=args.threads,
-        policy=_batch_policy(args),
-        cache_size=args.cache_size,
-    )
-    report["dataset"] = args.dataset
-    report["guarded"] = args.guarded
-    path = write_serving_report(report, args.out)
-    print(
-        f"{args.task} serving on {args.dataset}: "
-        f"serial {report['serial_qps']:,.0f} qps -> "
-        f"served {report['served_qps']:,.0f} qps "
-        f"({report['speedup']:.2f}x, {args.threads} threads)"
-    )
-    print(
-        f"latency p50={report['p50_ms']:.3f}ms p95={report['p95_ms']:.3f}ms "
-        f"p99={report['p99_ms']:.3f}ms  mean_batch={report['mean_batch_size']:.1f}  "
-        f"mismatches={report['mismatches']}"
-    )
-    print(f"wrote {path}")
-    return 0 if report["mismatches"] == 0 else 1
-
-
-def _bench_serve_mp(args, structure, queries) -> int:
-    from .bench.serving_mp import run_mp_serving_benchmark, write_mp_serving_report
-
-    report = run_mp_serving_benchmark(
-        structure,
-        queries,
-        workers=args.workers,
-        threads=args.threads,
-        policy=_batch_policy(args),
-        cache_size=args.cache_size,
-        min_speedup=args.min_speedup,
-    )
-    report["dataset"] = args.dataset
-    report["guarded"] = args.guarded
-    path = write_mp_serving_report(report, args.out)
-    print(
-        f"{args.task} mp-serving on {args.dataset}: "
-        f"serial {report['serial_qps']:,.0f} qps, "
-        f"threaded {report['threaded_qps']:,.0f} qps, "
-        f"pool {report['pool_qps']:,.0f} qps "
-        f"({report['pool_speedup']:.2f}x over serial, "
-        f"{args.workers} workers on {report['cpu_count']} core(s))"
-    )
-    print(
-        f"mismatches: threaded={report['threaded_mismatches']} "
-        f"pool={report['pool_mismatches']}"
-    )
-    print(f"caveat: {report['caveat']}")
-    print(f"wrote {path}")
-    return 0 if report["passed"] else 1
-
-
-def _cmd_bench_shard(args) -> int:
-    from .bench.sharding import run_shard_benchmark, write_shard_report
-
-    collection = load_dataset(args.dataset, scale=args.scale)
-    report = run_shard_benchmark(
-        collection,
-        task=args.task,
-        num_shards=args.shards,
-        worker_counts=tuple(args.workers),
-        num_queries=args.num_queries,
-        epochs=args.epochs,
-        max_subset_size=args.max_subset_size,
-        max_training_samples=args.max_training_samples,
-        seed=args.seed,
-    )
-    report["dataset"] = args.dataset
-    path = write_shard_report(report, args.out)
-    times = report["build_seconds"]
-    timings = "  ".join(
-        f"{workers}w={times[str(workers)]:.2f}s" for workers in args.workers
-    )
-    print(
-        f"sharded {args.task} build on {args.dataset} "
-        f"({report['num_shards']} shards, cpu_count={report['cpu_count']}): "
-        f"{timings}"
-    )
-    print(
-        f"speedup {report['speedup']:.2f}x at {report['speedup_workers']} workers; "
-        f"violations {sum(report['violations'].values())}"
-    )
-    print(f"wrote {path}")
-    return 0 if sum(report["violations"].values()) == 0 else 1
 
 
 def _cmd_scenario(args) -> int:
@@ -1096,35 +903,6 @@ def _cmd_freeze(args) -> int:
     return 0
 
 
-def _cmd_bench_infer(args) -> int:
-    from .bench.infer import run_infer_bench
-
-    report = run_infer_bench(
-        num_sets=args.num_sets,
-        universe=args.universe,
-        batch_size=args.batch_size,
-        repeats=args.repeats,
-        epochs=args.epochs,
-        seed=args.seed,
-        min_speedup=args.min_speedup,
-        structures=tuple(args.structures),
-        write_json=not args.no_json,
-    )
-    if not report["passed"]:
-        print(
-            f"bench-infer FAILED: min float32 speedup "
-            f"{report['min_float32_speedup']:.2f}x < {args.min_speedup}x "
-            f"or a published variant escaped its gate",
-            file=sys.stderr,
-        )
-        return 1
-    print(
-        f"bench-infer passed: min float32 speedup "
-        f"{report['min_float32_speedup']:.2f}x (required {args.min_speedup}x)"
-    )
-    return 0
-
-
 _COMMANDS = {
     "datasets": _cmd_datasets,
     "generate": _cmd_generate,
@@ -1137,9 +915,6 @@ _COMMANDS = {
     "contains": _cmd_contains,
     "serve": _cmd_serve,
     "refresh-status": _cmd_refresh_status,
-    "bench-serve": _cmd_bench_serve,
-    "bench-shard": _cmd_bench_shard,
-    "bench-infer": _cmd_bench_infer,
     "freeze": _cmd_freeze,
     "scenario": _cmd_scenario,
 }

@@ -2,7 +2,7 @@
 
 Every layer that (re)builds a learned structure — :class:`~repro.shard.
 ShardedBuilder` jobs, the maintain/adapt refresh paths, the CLI and the
-inference bench — names a *task* and calls :func:`train_structure`;
+benchmark workbench — names a *task* and calls :func:`train_structure`;
 :func:`task_of` is the inverse, reading the task back off a served
 structure so a refresh retrains what it is replacing.
 """

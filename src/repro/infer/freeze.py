@@ -2,9 +2,9 @@
 
 :func:`freeze` exports one trained DeepSets model (LSM or CLSM) into the
 requested weight variants.  Where the element universe is small enough
-(``fold_limit``), the entire ``phi(embed(decompose(x)))`` prefix is folded
-into a single per-element table at freeze time — inference then gathers
-one row per element.  Larger CLSM universes keep the per-position
+(at most ``DEFAULT_FOLD_LIMIT`` ids), the entire
+``phi(embed(decompose(x)))`` prefix is folded into a single per-element
+table at freeze time — inference then gathers one row per element.  Larger CLSM universes keep the per-position
 sub-tables and run the fused decompose → gather → concat → ``phi``
 pipeline, preserving the compression paper's memory advantage.
 
@@ -262,11 +262,12 @@ def _self_check(plan: InferencePlan, model) -> None:
 def freeze(
     model,
     dtypes: Sequence[str] = DEFAULT_DTYPES,
-    fold_limit: int = DEFAULT_FOLD_LIMIT,
 ) -> dict[str, InferencePlan]:
     """Export a trained model into the requested plan variants.
 
-    Returns ``{dtype_name: InferencePlan}``.  The float64 variant is
+    Returns ``{dtype_name: InferencePlan}``.  The plans are folded when the
+    model's decomposition cap is at most ``DEFAULT_FOLD_LIMIT`` and keep
+    the per-position CLSM sub-tables otherwise.  The float64 variant is
     differential-checked against the autograd forward at freeze time, so
     a fused-math bug can never ship silently.  No accuracy gating happens
     here — that is :func:`freeze_structure`'s job, where the structure
@@ -276,7 +277,7 @@ def freeze(
     if unknown:
         raise FreezeError(f"unknown plan dtypes {unknown}")
     anatomy = _model_anatomy(model)
-    folded = anatomy["cap"] <= fold_limit
+    folded = anatomy["cap"] <= DEFAULT_FOLD_LIMIT
     common = dict(
         pooling=anatomy["pooling"],
         vocab_size=anatomy["cap"],
@@ -482,7 +483,6 @@ def freeze_structure(
     dtypes: Sequence[str] = DEFAULT_DTYPES,
     active: str = "float32",
     gates: GateConfig | dict | None = None,
-    fold_limit: int = DEFAULT_FOLD_LIMIT,
     attach: bool = True,
     strict: bool = False,
 ) -> FreezeReport:
@@ -503,13 +503,12 @@ def freeze_structure(
         "dtypes": list(dtypes),
         "active": active,
         "gates": gates.as_dict(),
-        "fold_limit": int(fold_limit),
     }
     parts = []
     kind = None
     for raw in _raw_parts(structure):
         kind = _structure_kind(raw)
-        plans = freeze(raw.model, dtypes=dtypes, fold_limit=fold_limit)
+        plans = freeze(raw.model, dtypes=dtypes)
         probes = _probe_sets(raw, kind, gates)
         num_positives = (
             len(raw.trained_positives[: gates.probe_queries])
@@ -574,6 +573,5 @@ def refreeze_like(old_structure: Any, new_structure: Any) -> FreezeReport | None
         dtypes=tuple(options.get("dtypes", DEFAULT_DTYPES)),
         active=options.get("active", "float32"),
         gates=options.get("gates"),
-        fold_limit=int(options.get("fold_limit", DEFAULT_FOLD_LIMIT)),
         attach=True,
     )

@@ -4,7 +4,7 @@ Dependency-free property testing (no hypothesis): each test draws its
 cases from a seeded generator and embeds the seed in every assertion
 message, so a CI failure is reproducible locally with
 ``REPRO_TEST_SEED=<seed> pytest tests/core/test_clsm_properties.py``.
-The CI ``maintenance-soak`` job rotates the seed per run.
+The CI ``seeded-parity`` job rotates the seed per run.
 
 Covered properties, per the paper's Section 5 / Algorithm 1:
 

@@ -1,4 +1,4 @@
-"""CLI coverage for the freeze / bench-infer / scenario-trend verbs."""
+"""CLI coverage for the freeze / scenario-trend verbs."""
 
 from __future__ import annotations
 
@@ -31,11 +31,6 @@ class TestParser:
         assert args.active == "float32"
         assert args.strict is False
         assert args.out is None
-
-    def test_bench_infer_defaults(self):
-        args = build_parser().parse_args(["bench-infer"])
-        assert args.batch_size == 1024
-        assert args.min_speedup == 10.0
 
     def test_scenario_trend_defaults(self):
         args = build_parser().parse_args(["scenario", "trend"])

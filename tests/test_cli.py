@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import argparse
 import pickle
+import re
+from pathlib import Path
 
 import pytest
 
+import repro.cli
 from repro.cli import build_parser, main
 from repro.sets import SetCollection
 
@@ -319,12 +323,6 @@ class TestShardCli:
         assert args.workers == 1
         assert args.kind == "clsm"
 
-    def test_bench_shard_parser_defaults(self):
-        args = build_parser().parse_args(["bench-shard"])
-        assert args.shards == 4
-        assert args.workers == [1, 2, 4]
-        assert args.task == "cardinality"
-
     def test_sharded_cardinality_roundtrip(self, collection_file, tmp_path, capsys):
         model_file = tmp_path / "sharded.pkl"
         assert main(
@@ -369,27 +367,6 @@ class TestShardCli:
         answer = capsys.readouterr().out.strip().splitlines()[-1]
         assert answer == "present"  # stored subset: no false negatives
 
-    def test_bench_shard_smoke(self, tmp_path, capsys, monkeypatch):
-        import json
-
-        monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path))
-        out_file = tmp_path / "shard.json"
-        assert main(
-            [
-                "bench-shard", "--dataset", "sd", "--scale", "0.02",
-                "--shards", "2", "--workers", "1", "--num-queries", "40",
-                "--epochs", "2", "--max-training-samples", "2000",
-                "--out", str(out_file),
-            ]
-        ) == 0
-        report = json.loads(out_file.read_text())
-        assert report["violations"] == {"1": 0}
-        assert report["cpu_count"] >= 1
-        assert report["num_shards"] == 2
-        printed = capsys.readouterr().out
-        assert "speedup" in printed
-        assert "wrote" in printed
-
 
 class TestServeCli:
     def test_serve_parser_defaults(self):
@@ -399,43 +376,27 @@ class TestServeCli:
         assert args.overflow == "block"
         assert args.cache_size == 4096
 
-    def test_bench_serve_parser_defaults(self):
-        args = build_parser().parse_args(["bench-serve"])
-        assert args.dataset == "rw-small"
-        assert args.task == "cardinality"
-        assert args.threads == 8
-        assert args.out is None
-
     def test_bad_overflow_policy_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["serve", "model.pkl", "--overflow", "panic"])
 
-    def test_bench_serve_smoke(self, tmp_path, capsys, monkeypatch):
-        import json
 
-        monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path))
-        out_file = tmp_path / "serve.json"
-        assert main(
-            [
-                "bench-serve", "--dataset", "sd", "--scale", "0.02",
-                "--num-queries", "80", "--threads", "2", "--epochs", "2",
-                "--max-training-samples", "2000", "--out", str(out_file),
-            ]
-        ) == 0
-        report = json.loads(out_file.read_text())
-        assert report["mismatches"] == 0
-        assert report["dataset"] == "sd"
-        printed = capsys.readouterr().out
-        assert "qps" in printed
-        assert "wrote" in printed
-
-    def test_bench_serve_default_report_location(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path))
-        assert main(
-            [
-                "bench-serve", "--dataset", "sd", "--scale", "0.02",
-                "--num-queries", "40", "--threads", "2", "--epochs", "2",
-                "--max-training-samples", "2000", "--guarded",
-            ]
-        ) == 0
-        assert (tmp_path / "BENCH_serve.json").exists()
+class TestDocsMatchCli:
+    def test_documented_verbs_are_subcommands(self):
+        """Every ``repro <verb>`` in README code blocks and in the CLI
+        docstring is a real subcommand, and the docstring shows them all."""
+        subcommands = set(next(
+            action.choices for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ))
+        verb = re.compile(r"(?:^|&&|\|)\s*repro\s+([a-z][\w-]*)", re.MULTILINE)
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        code_blocks = "\n".join(
+            readme.read_text(encoding="utf-8").split("```")[1::2]
+        )
+        in_readme = set(verb.findall(code_blocks))
+        in_docstring = set(verb.findall(repro.cli.__doc__))
+        assert {"train", "serve"} <= in_readme
+        assert in_readme - subcommands == set(), "README names unknown verbs"
+        assert in_docstring - subcommands == set(), "docstring names unknown verbs"
+        assert subcommands - in_docstring == set(), "docstring misses verbs"

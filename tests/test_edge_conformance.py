@@ -46,9 +46,9 @@ from repro.adapt import (
     ShardStalenessTracker,
     WorkloadLog,
     probe_shard_errors,
-    sample_from_workload,
     workload_shard_rebuilder,
 )
+from repro.adapt.refresher import _clean_observed
 from repro.core import (
     LearnedBloomFilter,
     LearnedCardinalityEstimator,
@@ -471,38 +471,29 @@ class TestAdaptiveEdgeConformance:
             key == tuple(sorted(set(key))) for key in keys
         ), seed_note("recorded keys must be canonical")
 
-    @pytest.mark.parametrize("kind", ["cardinality", "index"])
     def test_polluted_log_never_poisons_training_sets(
-        self, kind, collection, truth, polluted_log
+        self, collection, polluted_log
     ):
         """Refresh training sets stay clean whatever traffic was recorded."""
-        subsets, targets, weights = sample_from_workload(
-            polluted_log,
-            collection,
-            truth,
-            kind=kind,
-            num_samples=64,
-            novelty_fraction=0.25,
-            max_subset_size=3,
-            rng=np.random.default_rng(SEED),
-        )
         max_id = collection.max_element_id()
-        assert subsets, seed_note(f"{kind}: no usable samples survived")
-        for subset, target, weight in zip(subsets, targets, weights):
+        observed = _clean_observed(polluted_log.top(), "subset", max_id)
+        assert observed, seed_note("no usable entries survived")
+        for entry in observed:
+            subset = entry.canonical
             assert subset == tuple(sorted(set(subset))) and subset, seed_note(
-                f"{kind}: non-canonical training subset {subset}"
+                f"non-canonical training subset {subset}"
             )
             assert 0 <= subset[0] and subset[-1] <= max_id, seed_note(
-                f"{kind}: out-of-universe training subset {subset}"
+                f"out-of-universe training subset {subset}"
             )
-            assert np.isfinite(target) and np.isfinite(weight), seed_note(
-                f"{kind}: non-finite label/weight for {subset}"
-            )
-            assert weight >= 1.0, seed_note(f"{kind}: weight < 1 for {subset}")
-        by_subset = dict(zip(subsets, weights))
+            assert np.isfinite(entry.count) and np.isfinite(
+                entry.q_error_sum
+            ), seed_note(f"non-finite count/q-error for {subset}")
+            assert entry.count >= 1, seed_note(f"count < 1 for {subset}")
+        by_subset = {entry.canonical: entry.count for entry in observed}
         # (2,) was served hot through two edge spellings (5 + 5 records).
-        assert by_subset[(2,)] == 10.0, seed_note(
-            f"{kind}: hot edge key must keep its aggregated frequency; "
+        assert by_subset[(2,)] == 10, seed_note(
+            f"hot edge key must keep its aggregated frequency; "
             f"got {by_subset[(2,)]}"
         )
 
